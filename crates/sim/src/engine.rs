@@ -1,9 +1,15 @@
 //! The synchronous round engine — phase-parallel since PR 4.
 //!
-//! Wires together the RAPTEE/Brahms/BASALT nodes, the limited-pushes
-//! defence, the adversary, and the metric collectors. One [`Simulation`]
-//! executes one run of one [`Scenario`]; the [`crate::runner`] module
-//! handles repetition and sweeps.
+//! Wires together the Brahms/RAPTEE and ranked-family nodes, the
+//! limited-pushes defence, the adversary, and the metric collectors. One
+//! [`Simulation`] executes one run of one [`Scenario`]; the
+//! [`crate::runner`] module handles repetition and sweeps.
+//!
+//! Every run is segmented: the correct population is a list of
+//! contiguous per-protocol segments ([`Scenario::segments`]), and a
+//! uniform scenario is simply one segment covering all of it. One
+//! builder, one round loop and one pull function per requester family
+//! (Brahms/RAPTEE vs ranked) drive every protocol mix.
 //!
 //! Round structure (mirroring the paper's 2.5 s protocol rounds):
 //!
@@ -52,10 +58,11 @@
 //! pull buffers that dominated peak RSS at paper scale — the streams
 //! only ever exist in a handful of per-worker arenas.
 //!
-//! BASALT's pull phase ranks every answer into the responder's and
-//! requester's views *on arrival*, making answers order-dependent across
-//! nodes; that one phase stays sequential, while BASALT planning, push
-//! application and round finalisation shard like the Brahms path.
+//! The ranked family's pull phase ranks every answer into the
+//! responder's and requester's views *on arrival*, making answers
+//! order-dependent across nodes; those pulls run inside the sequential
+//! exchange pass, while ranked planning, push application and round
+//! finalisation shard like the Brahms family's.
 
 use crate::adversary::{AdaptiveCoordinator, Adversary, PushPlan};
 use crate::audit::{AuditResponse, Challenger, Verdict};
@@ -140,47 +147,19 @@ struct TrustTier {
     degraded: Vec<bool>,
 }
 
-/// The correct population in dense, unboxed storage. Byzantine actors
-/// are pure identities (the adversary coordinates them centrally), so
-/// they occupy no node state at all: actor index `i` maps to population
-/// index `i - byz_count` for `i >= byz_count`. Mixed populations store
-/// one contiguous per-protocol arena per segment.
-enum Population {
-    Raptee(Vec<RapteeNode>),
-    Basalt(Vec<RankedNode>),
-    Mixed(Vec<SegmentNodes>),
-}
-
-/// One segment's node arena of a mixed population. The `Basalt` variant
-/// carries the whole ranked family (BASALT, BASALT+TEE, LIFT, Honeybee)
-/// behind the [`RankedNode`] delegation surface; the name survives from
-/// when BASALT was its only member, and keeps the diff of every
-/// dispatch site minimal.
+/// One segment's node arena: the correct population in dense, unboxed
+/// storage, one contiguous per-protocol arena per segment. Byzantine
+/// actors are pure identities (the adversary coordinates them
+/// centrally), so they occupy no node state at all: actor index `i`
+/// maps to population index `i - byz_count` for `i >= byz_count`. The
+/// `Ranked` variant carries BASALT, BASALT+TEE, LIFT and Honeybee behind
+/// the [`RankedNode`] delegation surface.
 enum SegmentNodes {
     Raptee(Vec<RapteeNode>),
-    Basalt(Vec<RankedNode>),
+    Ranked(Vec<RankedNode>),
 }
 
-impl SegmentNodes {
-    fn len(&self) -> usize {
-        match self {
-            SegmentNodes::Raptee(v) => v.len(),
-            SegmentNodes::Basalt(v) => v.len(),
-        }
-    }
-}
-
-impl Population {
-    fn len(&self) -> usize {
-        match self {
-            Population::Raptee(v) => v.len(),
-            Population::Basalt(v) => v.len(),
-            Population::Mixed(segs) => segs.iter().map(SegmentNodes::len).sum(),
-        }
-    }
-}
-
-/// Static metadata of one mixed-population segment (see
+/// Static metadata of one population segment (see
 /// [`crate::scenario::SegmentSpec`]): its protocol, its contiguous slice
 /// `[start, start + len)` of the correct-population index space, the
 /// per-identity push fanout its protocol grants, and the victim list the
@@ -205,13 +184,35 @@ fn raptee_at<'a>(
     let si = seg_of[ci] as usize;
     match &mut seg_nodes[si] {
         SegmentNodes::Raptee(v) => &mut v[ci - segs[si].start],
-        SegmentNodes::Basalt(_) => unreachable!("index {ci} is not in a Raptee-family segment"),
+        SegmentNodes::Ranked(_) => unreachable!("index {ci} is not in a Raptee-family segment"),
+    }
+}
+
+/// Split-borrows the distinct correct nodes `a` and `b`, which must
+/// share one Raptee-family segment (trusted RAPTEE nodes always do: a
+/// population holds at most one RAPTEE segment).
+fn raptee_pair<'a>(
+    seg_nodes: &'a mut [SegmentNodes],
+    segs: &[SegMeta],
+    seg_of: &[u32],
+    a: usize,
+    b: usize,
+) -> (&'a mut RapteeNode, &'a mut RapteeNode) {
+    let si = seg_of[a] as usize;
+    assert_eq!(
+        si, seg_of[b] as usize,
+        "paired Raptee nodes share one segment"
+    );
+    let start = segs[si].start;
+    match &mut seg_nodes[si] {
+        SegmentNodes::Raptee(v) => two_nodes(v, a - start, b - start),
+        SegmentNodes::Ranked(_) => unreachable!("index {a} is not in a Raptee-family segment"),
     }
 }
 
 /// Mutable access to the `ci`-th correct node, which must live in a
 /// ranked-family segment.
-fn basalt_at<'a>(
+fn ranked_at<'a>(
     seg_nodes: &'a mut [SegmentNodes],
     segs: &[SegMeta],
     seg_of: &[u32],
@@ -219,7 +220,7 @@ fn basalt_at<'a>(
 ) -> &'a mut RankedNode {
     let si = seg_of[ci] as usize;
     match &mut seg_nodes[si] {
-        SegmentNodes::Basalt(v) => &mut v[ci - segs[si].start],
+        SegmentNodes::Ranked(v) => &mut v[ci - segs[si].start],
         SegmentNodes::Raptee(_) => unreachable!("index {ci} is not in a ranked-family segment"),
     }
 }
@@ -358,14 +359,14 @@ struct WorkerScratch {
 struct Scratch {
     /// One Brahms/RAPTEE plan per population index, refilled in place.
     plans: Vec<RoundPlan>,
-    /// One BASALT plan per population index, refilled in place.
-    basalt_plans: Vec<BasaltPlan>,
+    /// One ranked-family plan per population index, refilled in place.
+    ranked_plans: Vec<BasaltPlan>,
     /// Whether population index `ci` produced a plan this round.
     live: Vec<bool>,
     /// The adversary's push plan for the round.
     byz_plan: PushPlan,
-    /// Per-segment staging buffer for the mixed-population adversary:
-    /// each segment's matching attack is planned here, then appended to
+    /// Staging buffer for the adversary: each segment after the first
+    /// plans its matching attack here, then it is appended to
     /// `byz_plan` so one delivery pass charges the combined plan.
     byz_seg_plan: PushPlan,
     /// Honest pushes surviving limiter/liveness/loss, as
@@ -384,10 +385,11 @@ struct Scratch {
     byz_sorted: Vec<(u32, NodeIdx)>,
     /// Counting-sort offsets for the adversary runs.
     byz_counts: Vec<u32>,
-    /// Reusable sequential-phase answer buffer (BASALT pulls, trusted
+    /// Reusable sequential-phase answer buffer (ranked pulls, trusted
     /// ablation answers, adversary RNG advancement).
     reply: Vec<NodeId>,
-    /// Reusable observation-target buffer (identification attack).
+    /// Reusable observation-target buffer (identification attack) and
+    /// reverse-half answer buffer of ranked trusted swaps.
     observed: Vec<NodeId>,
     /// Deferred pull answers, requester-major.
     events: Vec<PullEvent>,
@@ -415,7 +417,7 @@ impl Scratch {
     fn ensure_capacity(&mut self, pop: usize) {
         if self.live.len() != pop {
             self.plans.resize_with(pop, RoundPlan::default);
-            self.basalt_plans.resize_with(pop, BasaltPlan::default);
+            self.ranked_plans.resize_with(pop, BasaltPlan::default);
             self.live.resize(pop, false);
             self.view_mutated.resize(pop, false);
             self.stats.resize_with(pop, RoundStat::default);
@@ -535,7 +537,7 @@ fn run_bounds(counts: &[u32], t: usize) -> (usize, usize) {
 
 /// Marks non-Byzantine `id` as discovered in `row` (no-op for Byzantine
 /// and out-of-universe IDs). An associated function over the matrix so
-/// the sequential BASALT pull pass can call it while the population is
+/// the sequential ranked pull pass can call it while the population is
 /// borrowed.
 fn note_discovered(
     discovery: &mut Discovery,
@@ -552,7 +554,9 @@ fn note_discovered(
 /// One deterministic simulation run.
 pub struct Simulation {
     scenario: Scenario,
-    population: Population,
+    /// The correct population, one arena per segment (aligned with
+    /// `segs`).
+    seg_nodes: Vec<SegmentNodes>,
     trusted: Vec<bool>,
     alive: Vec<bool>,
     loss_rng: Xoshiro256StarStar,
@@ -573,23 +577,16 @@ pub struct Simulation {
     /// Per-node rings of recent per-round view pollution shares, used
     /// for the smoothed spread-stability criterion.
     share_rings: ShareRings,
-    /// All non-Byzantine actor IDs (the adversary's victim pool; alive
-    /// filtering happens at delivery time) — built once.
-    victims: Vec<NodeId>,
-    /// Mixed-population segment metadata, in layout order (empty for
-    /// uniform populations).
+    /// Segment metadata, in layout order (one entry for a uniform
+    /// population).
     segs: Vec<SegMeta>,
-    /// Correct-population index → segment index (empty for uniform
-    /// populations).
+    /// Correct-population index → segment index.
     seg_of: Vec<u32>,
-    /// Per-segment mean Byzantine-share series (mixed populations only).
+    /// Per-segment mean Byzantine-share series.
     seg_series: Vec<Vec<f64>>,
-    /// Per-segment mean discovered-fraction series (mixed populations
-    /// only) — feeds the per-segment discovery-round metric.
+    /// Per-segment mean discovered-fraction series — feeds the
+    /// per-segment discovery-round metric.
     seg_discovered_series: Vec<Vec<f64>>,
-    /// Correct original-population IDs the identification attack may
-    /// observe — built once.
-    ident_candidates: Vec<NodeId>,
     /// Reusable round buffers (see [`Scratch`]).
     scratch: Scratch,
     /// Per-worker arenas for the parallel phases.
@@ -634,34 +631,26 @@ pub struct Simulation {
 }
 
 impl Simulation {
-    /// Builds the population: Byzantine identities, trusted nodes
-    /// (provisioned through the simulated attestation service), honest
-    /// nodes, and optionally the adversary's injected view-poisoned
-    /// trusted nodes.
+    /// Builds the population: Byzantine identities, then the correct
+    /// population split into contiguous per-protocol segments in
+    /// [`Scenario::segments`] order (a uniform scenario is one segment),
+    /// each segment's trusted tier ([`Scenario::segment_trusted_counts`])
+    /// provisioned through the simulated attestation service, and
+    /// optionally the adversary's injected view-poisoned trusted nodes as
+    /// the tail of the single RAPTEE segment.
     pub fn new(scenario: Scenario) -> Self {
         scenario.validate();
-        // Mixed populations (and the BASALT+TEE hybrid, which carries a
-        // trusted tier plain BASALT lacks) run through the segmented
-        // builder; the uniform protocols keep their historical path —
-        // and their historical RNG draw order — untouched.
-        let mut sim = if !scenario.population.is_empty()
-            || matches!(scenario.protocol, Protocol::BasaltTee { .. })
-        {
-            Self::new_mixed(scenario)
-        } else {
-            Self::new_uniform(scenario)
-        };
-        sim.init_robustness();
-        sim
-    }
-
-    /// The historical uniform-population builder (see [`Simulation::new`]).
-    fn new_uniform(scenario: Scenario) -> Self {
         let mut rng = Xoshiro256StarStar::seed_from_u64(scenario.seed);
         let n = scenario.n;
         let total = scenario.total_actors();
         let byz = scenario.byzantine_count();
-        let trusted_n = scenario.trusted_count();
+        let trusted_counts = scenario.segment_trusted_counts();
+        // Injection is validated to uniform RAPTEE, so the injected
+        // actors `[n, total)` extend its one segment.
+        let mut specs = scenario.segments();
+        if let Some(last) = specs.last_mut() {
+            last.count += total - n;
+        }
 
         let gamma = scenario.gamma;
         let ab = (1.0 - gamma) / 2.0;
@@ -685,206 +674,6 @@ impl Simulation {
 
         // Group-key provisioning through the full simulated attestation
         // flow: one certified platform per trusted node.
-        let mut attestation = provisioning::new_attestation_service(scenario.seed ^ 0x6E0C);
-        let mut provision =
-            |platform: u64| provisioning::certify_and_provision(&mut attestation, platform);
-
-        let all_ids: Vec<NodeId> = (0..n as u64).map(NodeId).collect();
-        let byz_ids: Vec<NodeId> = (0..byz as u64).map(NodeId).collect();
-
-        // Under a ranked-family protocol (BASALT, LIFT, Honeybee) the
-        // whole correct population runs that protocol's node type behind
-        // the RankedNode delegation surface instead of Brahms/RAPTEE.
-        let basalt_config = match scenario.protocol {
-            Protocol::Basalt {
-                view_size,
-                rotation_interval,
-            } => Some(RankedCfg::Basalt(BasaltConfig::for_view(
-                view_size,
-                rotation_interval,
-            ))),
-            Protocol::Lift {
-                view_size,
-                fade_interval,
-            } => Some(RankedCfg::Lift(LiftConfig::for_view(
-                view_size,
-                fade_interval,
-            ))),
-            Protocol::Honeybee {
-                view_size,
-                walk_length,
-            } => Some(RankedCfg::Honeybee(HoneybeeConfig::for_view(
-                view_size,
-                walk_length,
-            ))),
-            _ => None,
-        };
-
-        // Byzantine actors are the identity prefix [0, byz) and carry no
-        // state; the correct population is stored densely and unboxed.
-        let mut raptee_nodes: Vec<RapteeNode> = Vec::new();
-        let mut basalt_nodes: Vec<RankedNode> = Vec::new();
-        let mut trusted_flags = vec![false; total];
-        #[allow(clippy::needless_range_loop)] // i is the node identity
-        for i in byz..total {
-            let id = NodeId(i as u64);
-            let seed = rng.next_u64();
-            if let Some(bcfg) = basalt_config {
-                let bootstrap = rng.sample(&all_ids, (bcfg.view_size() + 2).min(all_ids.len()));
-                basalt_nodes.push(RankedNode::new(id, &bcfg, &bootstrap, seed));
-                continue;
-            }
-            let is_trusted = i < byz + trusted_n;
-            let is_injected = i >= n;
-            // Paper bootstrap: a uniform random sample of the global
-            // membership — except injected nodes, which the adversary
-            // bootstrapped inside a Byzantine-only network.
-            let bootstrap = if is_injected {
-                rng.sample(&byz_ids, scenario.view_size.min(byz_ids.len()))
-            } else {
-                rng.sample(&all_ids, (scenario.view_size + 2).min(all_ids.len()))
-            };
-            let mut node = if is_trusted || is_injected {
-                trusted_flags[i] = true;
-                let key = provision(0x1000 + i as u64);
-                RapteeNode::new_trusted(id, config.clone(), &bootstrap, seed, key)
-            } else {
-                RapteeNode::new_untrusted(id, config.clone(), &bootstrap, seed)
-            };
-            // The sampler seen-cache is pure memoization (identical
-            // samples either way) whose backing bitset grows toward one
-            // bit per live identity *per node* — an O(N²)-bit structure
-            // in aggregate (≈ 125 KiB/node at N = 1,000,000, dwarfing
-            // the protocol state). Past the same population threshold
-            // that retires exact discovery bitsets, run uncached.
-            if total > EXACT_DISCOVERY_THRESHOLD {
-                node.brahms_mut().sampler_mut().limit_seen_cache(0);
-            }
-            raptee_nodes.push(node);
-        }
-        let population = if basalt_config.is_some() {
-            Population::Basalt(basalt_nodes)
-        } else {
-            Population::Raptee(raptee_nodes)
-        };
-
-        // Discovery state (non-Byzantine actors only) seeded with the
-        // bootstrap view and the node itself.
-        let non_byz_total = total - byz;
-        let mut discovery = Discovery::new(non_byz_total, total, scenario.sketch_discovery());
-        let mut seed_row = |ci: usize, ids: &mut dyn Iterator<Item = NodeId>| {
-            discovery.insert(ci, byz + ci);
-            for id in ids {
-                if id.index() >= byz {
-                    discovery.insert(ci, id.index());
-                }
-            }
-        };
-        match &population {
-            Population::Raptee(nodes) => {
-                for (ci, node) in nodes.iter().enumerate() {
-                    seed_row(ci, &mut node.brahms().view().ids());
-                }
-            }
-            Population::Basalt(nodes) => {
-                for (ci, node) in nodes.iter().enumerate() {
-                    seed_row(ci, &mut node.sample_ids().into_iter());
-                }
-            }
-            Population::Mixed(_) => unreachable!("mixed populations build via new_mixed"),
-        }
-        let discovery_target = (DISCOVERY_TARGET_SHARE * non_byz_total as f64).ceil() as usize;
-
-        // The per-identity push budget: Brahms' α·l1, or the ranked
-        // family's equal-bandwidth push fanout.
-        let alpha_count = basalt_config.map_or(config.brahms.alpha_count(), |c| c.push_count());
-        // The adversary answers pulls with views matching the protocol
-        // the correct population runs.
-        let answer_size = basalt_config.map_or(scenario.view_size, |c| c.view_size());
-        let mut adversary = Adversary::new(byz_ids, total, answer_size, rng.next_u64());
-        // Section VI-B: the adversary advertises its injected poisoned
-        // trusted nodes so the system contacts them and the poison can
-        // flow into the genuine trusted tier.
-        adversary.advertise_injected((n..total).map(|i| NodeId(i as u64)));
-        let net = EventNet::from_scenario(&scenario);
-        Self {
-            adversary,
-            limiter: PushRateLimiter::new(total, alpha_count as u32),
-            population,
-            trusted: trusted_flags,
-            alive: vec![true; total],
-            loss_rng: rng.split(),
-            byz_count: byz,
-            interner: Self::intern_population(total),
-            discovery,
-            discovery_target,
-            share_rings: ShareRings::new(non_byz_total),
-            victims: (byz..total).map(|i| NodeId(i as u64)).collect(),
-            segs: Vec::new(),
-            seg_of: Vec::new(),
-            seg_series: Vec::new(),
-            seg_discovered_series: Vec::new(),
-            ident_candidates: (byz..n).map(|i| NodeId(i as u64)).collect(),
-            scratch: Scratch::default(),
-            workers: Vec::new(),
-            net,
-            non_byz_total,
-            round: 0,
-            byz_share_series: Vec::with_capacity(scenario.rounds),
-            mean_discovered_series: Vec::with_capacity(scenario.rounds),
-            discovery_round: None,
-            spread_stability_round: None,
-            best_identification: None,
-            floods_detected: 0,
-            total_evicted: 0,
-            seed_rotations: 0,
-            churn_seed: 0,
-            recovery: None,
-            trust: None,
-            audit: None,
-            bandit: None,
-            trusted_dir: Vec::new(),
-            scenario,
-        }
-    }
-
-    /// Builds a segmented (mixed-population) simulation: the correct
-    /// population is split into contiguous per-protocol segments in spec
-    /// order, trusted tiers distributed per
-    /// [`Scenario::segment_trusted_counts`] and provisioned through the
-    /// same attestation flow as the uniform RAPTEE path. With a single
-    /// segment this draws the scenario RNG in exactly the uniform
-    /// builder's order, so a 100 %-one-protocol population is
-    /// bit-identical to the single-protocol engine (pinned by
-    /// `tests/determinism.rs`).
-    fn new_mixed(scenario: Scenario) -> Self {
-        let mut rng = Xoshiro256StarStar::seed_from_u64(scenario.seed);
-        let n = scenario.n;
-        let total = n; // mixed mode forbids injected actors
-        let byz = scenario.byzantine_count();
-        let specs = scenario.segments();
-        let trusted_counts = scenario.segment_trusted_counts();
-
-        let gamma = scenario.gamma;
-        let ab = (1.0 - gamma) / 2.0;
-        let alpha_count = (ab * scenario.view_size as f64).round();
-        let flood_threshold = if scenario.flood_slack_sigmas > 0.0 {
-            Some((alpha_count + scenario.flood_slack_sigmas * alpha_count.sqrt()).round() as usize)
-        } else {
-            None
-        };
-        let config = RapteeConfig {
-            brahms: BrahmsConfig {
-                view_size: scenario.view_size,
-                sample_size: scenario.sample_size,
-                alpha: ab,
-                beta: ab,
-                gamma,
-                flood_threshold,
-            },
-            eviction: scenario.eviction,
-        };
-
         let mut attestation = provisioning::new_attestation_service(scenario.seed ^ 0x6E0C);
         let all_ids: Vec<NodeId> = (0..n as u64).map(NodeId).collect();
         let byz_ids: Vec<NodeId> = (0..byz as u64).map(NodeId).collect();
@@ -952,16 +741,24 @@ impl Simulation {
                         v.push(RankedNode::new(id, &rcfg, &bootstrap, seed));
                     }
                 }
-                SegmentNodes::Basalt(v)
+                SegmentNodes::Ranked(v)
             } else {
                 let mut v = Vec::with_capacity(spec.count);
                 for i in 0..spec.count {
                     let abs = byz + start + i;
                     let id = NodeId(abs as u64);
                     let seed = rng.next_u64();
-                    let bootstrap =
-                        rng.sample(&all_ids, (scenario.view_size + 2).min(all_ids.len()));
-                    let mut node = if i < seg_trusted {
+                    // Paper bootstrap: a uniform random sample of the
+                    // global membership — except injected nodes, which
+                    // the adversary bootstrapped inside a Byzantine-only
+                    // network.
+                    let is_injected = abs >= n;
+                    let bootstrap = if is_injected {
+                        rng.sample(&byz_ids, scenario.view_size.min(byz_ids.len()))
+                    } else {
+                        rng.sample(&all_ids, (scenario.view_size + 2).min(all_ids.len()))
+                    };
+                    let mut node = if i < seg_trusted || is_injected {
                         trusted_flags[abs] = true;
                         let key = provisioning::certify_and_provision(
                             &mut attestation,
@@ -971,9 +768,13 @@ impl Simulation {
                     } else {
                         RapteeNode::new_untrusted(id, config.clone(), &bootstrap, seed)
                     };
-                    // Same large-population seen-cache policy as the
-                    // uniform constructor (see `new`): the cache is an
-                    // O(N²)-bit memoization in aggregate.
+                    // The sampler seen-cache is pure memoization (identical
+                    // samples either way) whose backing bitset grows toward
+                    // one bit per live identity *per node* — an O(N²)-bit
+                    // structure in aggregate (≈ 125 KiB/node at
+                    // N = 1,000,000, dwarfing the protocol state). Past the
+                    // same population threshold that retires exact
+                    // discovery bitsets, run uncached.
                     if total > EXACT_DISCOVERY_THRESHOLD {
                         node.brahms_mut().sampler_mut().limit_seen_cache(0);
                     }
@@ -998,7 +799,8 @@ impl Simulation {
             start += spec.count;
         }
 
-        // Discovery state seeded from the bootstrap views, per family.
+        // Discovery state (non-Byzantine actors only) seeded with the
+        // bootstrap view and the node itself.
         let mut discovery = Discovery::new(non_byz_total, total, scenario.sketch_discovery());
         {
             let mut seed_row = |ci: usize, ids: &mut dyn Iterator<Item = NodeId>| {
@@ -1016,7 +818,7 @@ impl Simulation {
                             seed_row(seg.start + i, &mut node.brahms().view().ids());
                         }
                     }
-                    SegmentNodes::Basalt(v) => {
+                    SegmentNodes::Ranked(v) => {
                         for (i, node) in v.iter().enumerate() {
                             seed_row(seg.start + i, &mut node.sample_ids().into_iter());
                         }
@@ -1027,7 +829,8 @@ impl Simulation {
         let discovery_target = (DISCOVERY_TARGET_SHARE * non_byz_total as f64).ceil() as usize;
 
         // The limiter grants the largest per-identity fanout any segment
-        // uses (equal across segments at matched view sizes); the
+        // uses — Brahms' α·l1 or the ranked family's equal-bandwidth push
+        // fanout (equal across segments at matched view sizes); the
         // adversary answers pulls at the largest view size in play.
         let limiter_fanout = segs.iter().map(|x| x.fanout).max().unwrap_or(1);
         let answer_size = segs
@@ -1035,12 +838,16 @@ impl Simulation {
             .map(|x| x.ranked_cfg.map_or(scenario.view_size, |c| c.view_size()))
             .max()
             .unwrap_or(scenario.view_size);
-        let adversary = Adversary::new(byz_ids, total, answer_size, rng.next_u64());
+        let mut adversary = Adversary::new(byz_ids, total, answer_size, rng.next_u64());
+        // Section VI-B: the adversary advertises its injected poisoned
+        // trusted nodes so the system contacts them and the poison can
+        // flow into the genuine trusted tier.
+        adversary.advertise_injected((n..total).map(|i| NodeId(i as u64)));
         let net = EventNet::from_scenario(&scenario);
-        Self {
+        let mut sim = Self {
             adversary,
             limiter: PushRateLimiter::new(total, limiter_fanout as u32),
-            population: Population::Mixed(seg_nodes),
+            seg_nodes,
             trusted: trusted_flags,
             alive: vec![true; total],
             loss_rng: rng.split(),
@@ -1049,12 +856,10 @@ impl Simulation {
             discovery,
             discovery_target,
             share_rings: ShareRings::new(non_byz_total),
-            victims: (byz..total).map(|i| NodeId(i as u64)).collect(),
             seg_series: vec![Vec::with_capacity(scenario.rounds); segs.len()],
             seg_discovered_series: vec![Vec::with_capacity(scenario.rounds); segs.len()],
             segs,
             seg_of,
-            ident_candidates: Vec::new(),
             scratch: Scratch::default(),
             workers: Vec::new(),
             net,
@@ -1075,10 +880,12 @@ impl Simulation {
             bandit: None,
             trusted_dir: Vec::new(),
             scenario,
-        }
+        };
+        sim.init_robustness();
+        sim
     }
 
-    /// Initialises the robustness subsystems both builders share: the
+    /// Initialises the robustness subsystems: the
     /// churn draw seed, the recovery accounting (dynamic churn or
     /// attestation expiry only) and the trusted-tier degradation state.
     /// With everything off this sets one integer and leaves both options
@@ -1127,13 +934,11 @@ impl Simulation {
             ));
         }
         if self.scenario.adversary_mode == AdversaryMode::Adaptive {
-            // One arm per (segment, candidate strategy) pair; uniform
-            // populations count as a single segment. The coordinator is
-            // pure bookkeeping (no RNG), so static-mode runs — where it
-            // stays `None` — replay byte-identically.
-            let seg_count = self.segs.len().max(1);
+            // One arm per (segment, candidate strategy) pair. The
+            // coordinator is pure bookkeeping (no RNG), so static-mode
+            // runs — where it stays `None` — replay byte-identically.
             self.bandit = Some(AdaptiveCoordinator::new(
-                seg_count * ADAPTIVE_STRATEGIES.len(),
+                self.segs.len() * ADAPTIVE_STRATEGIES.len(),
             ));
         }
     }
@@ -1181,7 +986,7 @@ impl Simulation {
 
     /// Total actors in the run (Byzantine identities + correct nodes).
     pub fn total_actors(&self) -> usize {
-        self.byz_count + self.population.len()
+        self.byz_count + self.non_byz_total
     }
 
     /// Whether actor `id` is Byzantine.
@@ -1234,16 +1039,10 @@ impl Simulation {
             return None;
         }
         let ci = id.index() - self.byz_count;
-        match &self.population {
-            Population::Raptee(nodes) => nodes.get(ci),
-            Population::Basalt(_) => None,
-            Population::Mixed(seg_nodes) => {
-                let si = *self.seg_of.get(ci)? as usize;
-                match &seg_nodes[si] {
-                    SegmentNodes::Raptee(v) => v.get(ci - self.segs[si].start),
-                    SegmentNodes::Basalt(_) => None,
-                }
-            }
+        let si = *self.seg_of.get(ci)? as usize;
+        match &self.seg_nodes[si] {
+            SegmentNodes::Raptee(v) => v.get(ci - self.segs[si].start),
+            SegmentNodes::Ranked(_) => None,
         }
     }
 
@@ -1254,16 +1053,10 @@ impl Simulation {
             return None;
         }
         let ci = id.index() - self.byz_count;
-        match &self.population {
-            Population::Basalt(nodes) => nodes.get(ci),
-            Population::Raptee(_) => None,
-            Population::Mixed(seg_nodes) => {
-                let si = *self.seg_of.get(ci)? as usize;
-                match &seg_nodes[si] {
-                    SegmentNodes::Basalt(v) => v.get(ci - self.segs[si].start),
-                    SegmentNodes::Raptee(_) => None,
-                }
-            }
+        let si = *self.seg_of.get(ci)? as usize;
+        match &self.seg_nodes[si] {
+            SegmentNodes::Ranked(v) => v.get(ci - self.segs[si].start),
+            SegmentNodes::Raptee(_) => None,
         }
     }
 
@@ -1359,12 +1152,8 @@ impl Simulation {
         // `&mut self` stays available to the control passes.
         let mut scratch = std::mem::take(&mut self.scratch);
         let mut workers = std::mem::take(&mut self.workers);
-        scratch.ensure_capacity(self.population.len());
-        match &self.population {
-            Population::Basalt(_) => self.basalt_round(&mut scratch, &mut workers),
-            Population::Raptee(_) => self.raptee_round(&mut scratch, &mut workers),
-            Population::Mixed(_) => self.mixed_round(&mut scratch, &mut workers),
-        }
+        scratch.ensure_capacity(self.non_byz_total);
+        self.exchange_round(&mut scratch, &mut workers);
         self.scratch = scratch;
         self.workers = workers;
 
@@ -1415,53 +1204,28 @@ impl Simulation {
         let churn_seed = self.churn_seed;
         let alive = &self.alive;
         let is_alive = |id: NodeId| alive.get(id.index()).copied().unwrap_or(false);
-        let segs = &self.segs;
-        let seg_of = &self.seg_of;
-        match &mut self.population {
-            Population::Raptee(nodes) => match rejoin {
+        let si = self.seg_of[ci] as usize;
+        let local = ci - self.segs[si].start;
+        match &mut self.seg_nodes[si] {
+            SegmentNodes::Raptee(nodes) => match rejoin {
                 RejoinPolicy::Cold => {
                     let boot = bootstrap_of(churn_seed, view_size + 2);
-                    nodes[ci].rejoin_cold(&boot, cold_seed);
+                    nodes[local].rejoin_cold(&boot, cold_seed);
                 }
                 RejoinPolicy::Warm => {
-                    nodes[ci].rejoin_warm(is_alive);
+                    nodes[local].rejoin_warm(is_alive);
                 }
             },
-            Population::Basalt(nodes) => match rejoin {
+            SegmentNodes::Ranked(nodes) => match rejoin {
                 RejoinPolicy::Cold => {
-                    let k = nodes[ci].view_size() + 2;
+                    let k = nodes[local].view_size() + 2;
                     let boot = bootstrap_of(churn_seed, k);
-                    nodes[ci].rejoin_cold(&boot, cold_seed);
+                    nodes[local].rejoin_cold(&boot, cold_seed);
                 }
                 RejoinPolicy::Warm => {
-                    nodes[ci].rejoin_warm();
+                    nodes[local].rejoin_warm();
                 }
             },
-            Population::Mixed(seg_nodes) => {
-                let si = seg_of[ci] as usize;
-                let local = ci - segs[si].start;
-                match &mut seg_nodes[si] {
-                    SegmentNodes::Raptee(nodes) => match rejoin {
-                        RejoinPolicy::Cold => {
-                            let boot = bootstrap_of(churn_seed, view_size + 2);
-                            nodes[local].rejoin_cold(&boot, cold_seed);
-                        }
-                        RejoinPolicy::Warm => {
-                            nodes[local].rejoin_warm(is_alive);
-                        }
-                    },
-                    SegmentNodes::Basalt(nodes) => match rejoin {
-                        RejoinPolicy::Cold => {
-                            let k = nodes[local].view_size() + 2;
-                            let boot = bootstrap_of(churn_seed, k);
-                            nodes[local].rejoin_cold(&boot, cold_seed);
-                        }
-                        RejoinPolicy::Warm => {
-                            nodes[local].rejoin_warm();
-                        }
-                    },
-                }
-            }
         }
         // A trusted rejoiner re-attests on the spot (the trusted
         // re-handshake): fresh certificate, degradation cleared.
@@ -1631,41 +1395,21 @@ impl Simulation {
     /// from every honest view, waiting list and trusted directory. The
     /// pull-path blacklist keeps re-learned entries out afterwards.
     fn purge_quarantined(&mut self, convicted: &[usize]) {
-        match &mut self.population {
-            Population::Raptee(nodes) => {
-                for node in nodes.iter_mut() {
-                    for &c in convicted {
-                        let id = NodeId(c as u64);
-                        node.brahms_mut().view_mut().remove(id);
-                        node.forget_trusted_peer(id);
-                    }
-                }
-            }
-            Population::Basalt(nodes) => {
-                for node in nodes.iter_mut() {
-                    for &c in convicted {
-                        node.quarantine(NodeId(c as u64));
-                    }
-                }
-            }
-            Population::Mixed(seg_nodes) => {
-                for nodes in seg_nodes.iter_mut() {
-                    match nodes {
-                        SegmentNodes::Raptee(v) => {
-                            for node in v.iter_mut() {
-                                for &c in convicted {
-                                    let id = NodeId(c as u64);
-                                    node.brahms_mut().view_mut().remove(id);
-                                    node.forget_trusted_peer(id);
-                                }
-                            }
+        for nodes in self.seg_nodes.iter_mut() {
+            match nodes {
+                SegmentNodes::Raptee(v) => {
+                    for node in v.iter_mut() {
+                        for &c in convicted {
+                            let id = NodeId(c as u64);
+                            node.brahms_mut().view_mut().remove(id);
+                            node.forget_trusted_peer(id);
                         }
-                        SegmentNodes::Basalt(v) => {
-                            for node in v.iter_mut() {
-                                for &c in convicted {
-                                    node.quarantine(NodeId(c as u64));
-                                }
-                            }
+                    }
+                }
+                SegmentNodes::Ranked(v) => {
+                    for node in v.iter_mut() {
+                        for &c in convicted {
+                            node.quarantine(NodeId(c as u64));
                         }
                     }
                 }
@@ -1834,48 +1578,13 @@ impl Simulation {
         counting_sort_by_target(survivors, sorted, counts, self.total_actors());
     }
 
-    /// Plans the adversary's pushes for this round, honouring the
-    /// scenario's attack strategy: `balanced` spreads the budget evenly,
-    /// `targeted` focuses a share of it on a fixed prefix of the correct
-    /// nodes (deterministic per scenario; the adversary knows the
-    /// membership). The planners are protocol-specific (random Byzantine
-    /// IDs against Brahms/RAPTEE, distinct-ID coverage against BASALT).
-    fn plan_adversary_pushes(
-        &mut self,
-        budget: usize,
-        balanced: fn(&mut Adversary, &[NodeId], usize, &mut PushPlan),
-        targeted: fn(&mut Adversary, &[NodeId], &[NodeId], usize, f64, &mut PushPlan),
-        plan: &mut PushPlan,
-    ) -> Option<usize> {
-        // Adaptive mode: the bandit overrides the static strategy with
-        // its current-best arm (uniform populations are one segment, so
-        // the arm index encodes the strategy alone). The chosen arm is
-        // returned so the round can feed the observed yield back.
-        let (attack, arm) = match self.bandit.as_ref() {
-            Some(bandit) => {
-                let arm = bandit.choose();
-                (
-                    ADAPTIVE_STRATEGIES[arm % ADAPTIVE_STRATEGIES.len()],
-                    Some(arm),
-                )
-            }
-            None => (self.scenario.attack, None),
-        };
-        Self::plan_attack(
-            &mut self.adversary,
-            attack,
-            &self.victims,
-            budget,
-            balanced,
-            targeted,
-            plan,
-        );
-        arm
-    }
-
-    /// The strategy-dispatching body of [`Simulation::plan_adversary_pushes`],
-    /// parameterised over the victim pool so the mixed-population round
-    /// can aim each segment's matching attack at that segment alone.
+    /// Plans one segment's share of the adversary's pushes, honouring the
+    /// attack strategy: `balanced` spreads the budget evenly over the
+    /// segment, `targeted` focuses a share of it on a fixed prefix of the
+    /// segment's correct nodes (deterministic per scenario; the adversary
+    /// knows the membership). The planners are family-specific (random
+    /// Byzantine IDs against Brahms/RAPTEE, distinct-ID coverage against
+    /// the ranked family).
     #[allow(clippy::too_many_arguments)]
     fn plan_attack(
         adversary: &mut Adversary,
@@ -1907,21 +1616,16 @@ impl Simulation {
 
     /// Feeds the adaptive bandit the observed pollution yield of the arm
     /// it played this round: the mean Byzantine view share over the
-    /// attacked segment (whole population for uniform runs). No-op when
+    /// attacked segment. No-op when
     /// the adversary is static.
     fn bandit_reward(&mut self, stats: &[RoundStat], arm: Option<usize>) {
         let (Some(bandit), Some(arm)) = (self.bandit.as_mut(), arm) else {
             return;
         };
-        let (start, len) = if self.segs.is_empty() {
-            (0, stats.len())
-        } else {
-            let si = arm / ADAPTIVE_STRATEGIES.len();
-            (self.segs[si].start, self.segs[si].len)
-        };
+        let seg = &self.segs[arm / ADAPTIVE_STRATEGIES.len()];
         let mut sum = 0.0;
         let mut count = 0usize;
-        for st in &stats[start..(start + len).min(stats.len())] {
+        for st in &stats[seg.start..seg.start + seg.len] {
             if st.participated && st.has_share {
                 sum += st.share;
                 count += 1;
@@ -1931,912 +1635,38 @@ impl Simulation {
         bandit.reward(arm, observed);
     }
 
-    /// One Brahms/RAPTEE round (the paper's protocol loop).
-    fn raptee_round(&mut self, s: &mut Scratch, workers: &mut Vec<WorkerScratch>) {
+    /// One protocol round (plan → exchange → apply → fold), the
+    /// phase-parallel structure driven per segment over the shared
+    /// scratch arenas. Shared sequential streams (rate limiter, loss RNG,
+    /// adversary coordinator RNG) are consumed in segment-layout order —
+    /// the draw sequence the golden fingerprints of
+    /// `tests/determinism.rs` pin.
+    fn exchange_round(&mut self, s: &mut Scratch, workers: &mut Vec<WorkerScratch>) {
         let total = self.total_actors();
         let byz = self.byz_count;
         let stride = self.scenario.view_size;
-        let (pop, alpha_count) = match &self.population {
-            Population::Raptee(nodes) => (
-                nodes.len(),
-                nodes.first().map(|n| n.config().brahms.alpha_count()),
-            ),
-            Population::Basalt(_) => unreachable!("BASALT runs through basalt_round"),
-            Population::Mixed(_) => unreachable!("mixed populations run through mixed_round"),
-        };
-        // No correct nodes: nothing to simulate (matches the historical
-        // early return before the adversary planned anything).
-        let Some(alpha_count) = alpha_count else {
-            return;
-        };
-
-        // Phase 1 (parallel, sharded by node): plans — dead nodes do not
-        // participate — plus the post-plan view snapshot that deferred
-        // pull answers will reference, and the per-round reset of the
-        // view-mutation flags.
-        if s.snap_ids.len() != pop * stride {
-            s.snap_ids.resize(pop * stride, NodeIdx(0));
-        }
-        {
-            let Population::Raptee(nodes) = &mut self.population else {
-                unreachable!()
-            };
-            let alive = &self.alive;
-            struct Lane<'a> {
-                item: PlanItem<'a, RapteeNode>,
-                plan: &'a mut RoundPlan,
-                mutated: &'a mut bool,
-                snap: &'a mut [NodeIdx],
-                snap_len: &'a mut u32,
-            }
-            let mut lanes: Vec<Lane> = nodes
-                .iter_mut()
-                .zip(s.plans.iter_mut())
-                .zip(s.live.iter_mut())
-                .zip(s.view_mutated.iter_mut())
-                .zip(s.snap_ids.chunks_mut(stride))
-                .zip(s.snap_len.iter_mut())
-                .map(|(((((node, plan), live), mutated), snap), snap_len)| Lane {
-                    item: PlanItem { node, live },
-                    plan,
-                    mutated,
-                    snap,
-                    snap_len,
-                })
-                .collect();
-            rayon::par_for_each_mut(&mut lanes, |ci, lane| {
-                *lane.mutated = false;
-                if !alive[byz + ci] {
-                    *lane.item.live = false;
-                    *lane.snap_len = 0;
-                    return;
-                }
-                lane.item.node.plan_round_into(lane.plan);
-                *lane.item.live = true;
-                let view = lane.item.node.brahms().view();
-                for (k, e) in view.entries().iter().enumerate() {
-                    lane.snap[k] = narrow(e.id);
-                }
-                *lane.snap_len = view.len() as u32;
-            });
-        }
-
-        // Phase 2a (sequential control): honest pushes through the rate
-        // limiter and loss filter, counting-sorted into per-receiver
-        // runs. No per-ID node work happens here — the runs are consumed
-        // by the parallel apply phase.
-        {
-            let Scratch {
-                plans,
-                live,
-                survivors,
-                sorted,
-                counts,
-                ..
-            } = s;
-            let planned = plans
-                .iter()
-                .enumerate()
-                .filter(|(ci, _)| live[*ci])
-                .map(|(ci, p)| (byz + ci, p.push_targets.as_slice()));
-            Self::collect_and_sort_pushes(
-                &mut self.limiter,
-                &mut self.loss_rng,
-                &self.alive,
-                self.scenario.message_loss,
-                total,
-                survivors,
-                sorted,
-                counts,
-                &mut self.net,
-                self.round,
-                planned,
-            );
-        }
-
-        // Phase 2b (sequential control): the adversary's balanced
-        // pushes, saturating exactly its lawful budget B·α·l1 (every
-        // push charged to a Byzantine identity).
-        let budget = byz * alpha_count;
-        let bandit_arm = self.plan_adversary_pushes(
-            budget,
-            Adversary::plan_balanced_pushes_into,
-            Adversary::plan_targeted_pushes_into,
-            &mut s.byz_plan,
-        );
-        {
-            let Scratch {
-                byz_plan,
-                byz_survivors,
-                byz_sorted,
-                byz_counts,
-                ..
-            } = s;
-            let plan = std::mem::take(byz_plan);
-            self.collect_byz_pushes(&plan, byz_survivors, byz_sorted, byz_counts);
-            *byz_plan = plan;
-        }
-
-        // Phase 3 (sequential control): pulls. Only the shared ordered
-        // streams run here — loss draws, handshakes, the adversary RNG,
-        // and the (rare) trusted swaps; every untrusted answer is
-        // deferred as a pull event for the parallel apply phase.
-        s.events.clear();
-        s.arena.clear();
-        // Event model: pull answers deferred from earlier rounds arrive
-        // ahead of this round's fresh pulls (they are the oldest answers
-        // the requester sees). Dead requesters consume and drop theirs.
-        let due = self
-            .net
-            .as_mut()
-            .map(|n| n.take_due_answers())
-            .unwrap_or_default();
-        let mut due_cursor = 0usize;
-        for ci in 0..pop {
-            s.event_start[ci] = s.events.len() as u32;
-            while due_cursor < due.len() && due[due_cursor].ci as usize <= ci {
-                let ans = &due[due_cursor];
-                due_cursor += 1;
-                if ans.ci as usize != ci {
-                    continue;
-                }
-                // First delivered copy claims the answer nonce; deadline
-                // retransmits and injected duplicates are suppressed.
-                let fresh = self.net.as_mut().is_none_or(|n| n.accept_answer(ans.nonce));
-                if fresh && s.live[ci] {
-                    let start = s.arena.len() as u32;
-                    s.arena.extend(ans.ids.iter().map(|&id| narrow(id)));
-                    s.events.push(PullEvent::Arena {
-                        start,
-                        len: ans.ids.len() as u32,
-                    });
-                }
-            }
-            if !s.live[ci] {
-                continue;
-            }
-            let n_pulls = s.plans[ci].pull_targets.len();
-            for k in 0..n_pulls {
-                let target = s.plans[ci].pull_targets[k];
-                self.control_pull(ci, target, s);
-            }
-        }
-        s.event_start[pop] = s.events.len() as u32;
-        if let Some(net) = self.net.as_mut() {
-            net.restore_due_answers(due);
-        }
-
-        // Phase 3b (sequential): proactive trusted exchanges. Each
-        // trusted node initiates one exchange with the oldest entry of
-        // its trusted directory (framework criterion (1): round-robin
-        // probing) — the mechanism that keeps a sparse trusted
-        // population meeting every round once discovered. Swaps here
-        // cannot invalidate snapshot-deferred answers: those reference
-        // the frozen snapshot arena, not the live views.
-        if self.scenario.trusted_swap {
-            let Population::Raptee(nodes) = &mut self.population else {
-                unreachable!()
-            };
-            for ci in 0..pop {
-                let abs = byz + ci;
-                if !Self::effective_trusted_in(&self.trusted, self.trust.as_ref(), abs) {
-                    continue;
-                }
-                let Some(partner) = nodes[ci].trusted_partner() else {
-                    continue;
-                };
-                if partner.index() == abs || !self.alive[abs] {
-                    continue;
-                }
-                if !self.alive[partner.index()] {
-                    // Timeout: forget the dead trusted peer.
-                    nodes[ci].forget_trusted_peer(partner);
-                    continue;
-                }
-                if !Self::effective_trusted_in(&self.trusted, self.trust.as_ref(), partner.index())
-                {
-                    // The partner is alive but its certificate lapsed:
-                    // skip the exchange without forgetting it — it will
-                    // re-attest and answer again.
-                    continue;
-                }
-                assert!(
-                    partner.index() >= byz,
-                    "directory entries are authenticated trusted peers"
-                );
-                let (a, b) = two_nodes(nodes, ci, partner.index() - byz);
-                RapteeNode::trusted_swap_kind(a, b, false);
-            }
-        }
-
-        // Phase 4 (sequential): adversary observation pulls
-        // (identification attack).
-        if self.scenario.identification_attack && byz > 0 {
-            let beta_count = alpha_count; // α = β in the paper's config
-            let Population::Raptee(nodes) = &self.population else {
-                unreachable!()
-            };
-            for _ in 0..byz {
-                self.adversary.observation_targets_into(
-                    &self.ident_candidates,
-                    beta_count,
-                    &mut s.observed,
-                );
-                for idx in 0..s.observed.len() {
-                    let t = s.observed[idx];
-                    let view = nodes[t.index() - byz].brahms().view();
-                    if view.is_empty() {
-                        continue;
-                    }
-                    let byz_in_view = view.ids().filter(|id| id.index() < byz).count();
-                    let share = byz_in_view as f64 / view.len() as f64;
-                    self.adversary.record_share(t, share);
-                }
-            }
-        }
-
-        // Phase 5 (parallel apply, sharded by node): stream
-        // reconstruction from the shared arenas, round finalisation and
-        // per-node metric observation into the stat slots.
-        let validation_due = self.scenario.sampler_validation_period > 0
-            && (self.round + 1).is_multiple_of(self.scenario.sampler_validation_period);
-        {
-            let Population::Raptee(nodes) = &mut self.population else {
-                unreachable!()
-            };
-            let Scratch {
-                stats,
-                events,
-                event_start,
-                arena,
-                snap_ids,
-                snap_len,
-                sorted,
-                counts,
-                byz_sorted,
-                byz_counts,
-                ..
-            } = s;
-            let (events, event_start) = (&events[..], &event_start[..]);
-            let (arena, snap_ids, snap_len) = (&arena[..], &snap_ids[..], &snap_len[..]);
-            let (sorted, counts) = (&sorted[..], &counts[..]);
-            let (byz_sorted, byz_counts) = (&byz_sorted[..], &byz_counts[..]);
-            let alive = &self.alive;
-            let adversary = &self.adversary;
-            let mut items: Vec<FinishItem<RapteeNode>> = nodes
-                .iter_mut()
-                .zip(stats.iter_mut())
-                .zip(self.discovery.rows_mut())
-                .zip(self.share_rings.rows_mut())
-                .map(|(((node, stat), disc), ring)| FinishItem {
-                    node,
-                    stat,
-                    disc,
-                    ring,
-                })
-                .collect();
-            rayon::par_for_each_scratch(&mut items, workers, |ws, ci, it| {
-                let abs = byz + ci;
-                *it.stat = RoundStat::default();
-                if !alive[abs] {
-                    return;
-                }
-                it.stat.participated = true;
-                if validation_due {
-                    // Brahms sampler validation: probe sampled nodes,
-                    // re-draw the samplers whose sample is dead.
-                    let brahms = it.node.brahms_mut();
-                    let (sampler, rng) = brahms.sampler_and_rng_mut();
-                    sampler.validate(|id| alive.get(id.index()).copied().unwrap_or(false), rng);
-                }
-                let me = NodeId(abs as u64);
-                // Push stream: the honest counting-sorted run, then the
-                // adversary's run — each receiver's historical arrival
-                // order, with the `record_push` self-filter.
-                ws.pushed.clear();
-                let (h0, h1) = run_bounds(counts, abs);
-                ws.pushed.extend(
-                    sorted[h0..h1]
-                        .iter()
-                        .map(|&(_, sender)| widen(sender))
-                        .filter(|&x| x != me),
-                );
-                let (b0, b1) = run_bounds(byz_counts, abs);
-                ws.pushed.extend(
-                    byz_sorted[b0..b1]
-                        .iter()
-                        .map(|&(_, advertised)| widen(advertised))
-                        .filter(|&x| x != me),
-                );
-                // Untrusted pull stream, reconstructed in delivery order.
-                ws.untrusted.clear();
-                let e0 = event_start[ci] as usize;
-                let e1 = event_start[ci + 1] as usize;
-                for ev in &events[e0..e1] {
-                    match ev {
-                        PullEvent::Snapshot { responder } => {
-                            let r = *responder as usize;
-                            let base = r * stride;
-                            ws.untrusted.extend(
-                                snap_ids[base..base + snap_len[r] as usize]
-                                    .iter()
-                                    .map(|&i| widen(i)),
-                            );
-                        }
-                        PullEvent::Arena { start, len } => {
-                            let (a, b) = (*start as usize, (*start + *len) as usize);
-                            ws.untrusted.extend(arena[a..b].iter().map(|&i| widen(i)));
-                        }
-                        PullEvent::ByzReplay { rng } => {
-                            let mut rng = rng.clone();
-                            adversary.replay_pull_answer(&mut rng, &mut ws.idx, &mut ws.reply);
-                            ws.untrusted.extend_from_slice(&ws.reply);
-                        }
-                    }
-                }
-                let outcome = it.node.finish_round_streamed(
-                    &ws.pushed,
-                    &mut ws.untrusted,
-                    (e1 - e0) as u32,
-                    &mut ws.pulled,
-                    &mut ws.finish,
-                );
-                it.stat.evicted = outcome.evicted as u32;
-                it.stat.flood = outcome.report.push_flood_detected;
-                // Discovery counts an ID once it has *entered the
-                // dynamic view* (matching the paper's round counts; IDs
-                // merely seen in transit — or evicted — do not count).
-                let mut len = 0usize;
-                let mut byz_in_view = 0usize;
-                for id in it.node.brahms().view().ids() {
-                    len += 1;
-                    if id.index() < byz {
-                        byz_in_view += 1;
-                    } else if id.index() < total {
-                        it.disc.insert(id.index());
-                    }
-                }
-                it.stat.discovered = it.disc.count() as u32;
-                if len > 0 {
-                    let share = byz_in_view as f64 / len as f64;
-                    it.stat.share = share;
-                    it.stat.has_share = true;
-                    it.stat.smoothed = it.ring.push_and_mean(share);
-                }
-            });
-        }
-
-        // Fold (sequential, node-index order — float accumulation order
-        // is exactly the historical per-actor loop's).
-        self.fold_round_stats(&s.stats);
-        self.bandit_reward(&s.stats, bandit_arm);
-
-        if self.scenario.identification_attack {
-            let flagged = self
-                .adversary
-                .classify_trusted(self.scenario.identification_threshold);
-            let trusted = &self.trusted;
-            let n = self.scenario.n;
-            // Ground truth: genuine trusted nodes (injected ones are the
-            // adversary's own and excluded).
-            let actual = trusted[byz..n].iter().filter(|&&t| t).count();
-            let result = IdentificationResult::evaluate(
-                &flagged,
-                |id| id.index() < n && trusted[id.index()],
-                actual,
-                self.round,
-            );
-            let better = match &self.best_identification {
-                None => true,
-                Some(best) => result.f1 > best.f1,
-            };
-            if better {
-                self.best_identification = Some(result);
-            }
-        }
-    }
-
-    /// One pull of the sequential exchange pass: replicates the
-    /// historical `handle_pull` control flow but defers untrusted
-    /// answers as [`PullEvent`]s instead of copying IDs.
-    fn control_pull(&mut self, requester_ci: usize, target: NodeId, s: &mut Scratch) {
-        let byz = self.byz_count;
-        let requester_abs = byz + requester_ci;
-        let t = target.index();
-        if t == requester_abs || t >= self.total_actors() {
-            return;
-        }
-        // A convicted (quarantined) target is blacklisted before any
-        // connection or RNG draw: drop it from the view and the trusted
-        // directory, like a dead-peer timeout.
-        if self.audit.as_ref().is_some_and(|a| a.is_quarantined(t)) {
-            let Population::Raptee(nodes) = &mut self.population else {
-                unreachable!()
-            };
-            let node = &mut nodes[requester_ci];
-            node.brahms_mut().view_mut().remove(target);
-            node.forget_trusted_peer(target);
-            s.view_mutated[requester_ci] = true;
-            return;
-        }
-        // Event model: reachability gating and round-trip timing. A
-        // refused exchange never opens a connection, so (unlike a crash
-        // timeout) the requester drops nothing and no loss RNG draw
-        // happens — at the zero-latency config no exchange is ever
-        // refused and this is a pass-through.
-        let gate = match self.net.as_mut() {
-            Some(net) => net.gate_pull(self.round, requester_abs, t),
-            None => PullGate::Inline,
-        };
-        if gate == PullGate::Refused {
-            return;
-        }
-        let Population::Raptee(nodes) = &mut self.population else {
-            unreachable!()
-        };
-        // A crashed responder times out: the requester learns nothing
-        // and drops the stale link (Cyclon-style timeout handling). Any
-        // in-flight retransmit copies die with the exchange.
-        if !self.alive[t] {
-            let node = &mut nodes[requester_ci];
-            node.brahms_mut().view_mut().remove(target);
-            node.forget_trusted_peer(target);
-            s.view_mutated[requester_ci] = true;
-            if let Some(net) = self.net.as_mut() {
-                net.drop_pending_copies();
-            }
-            return;
-        }
-        if self.scenario.message_loss > 0.0 && self.loss_rng.chance(self.scenario.message_loss) {
-            if let Some(net) = self.net.as_mut() {
-                net.drop_pending_copies();
-            }
-            return; // request or answer lost in transit
-        }
-        if t < byz {
-            // Byzantine responders fail authentication (random keys) and
-            // answer with exclusively Byzantine IDs. The coordinator RNG
-            // must advance here, in event order; the answer itself is
-            // regenerated in parallel from the pre-draw snapshot.
-            let snapshot = self.adversary.rng_snapshot();
-            self.adversary.pull_answer_into(&mut s.reply);
-            if let PullGate::Deferred { round, held } = gate {
-                // The answer was drawn now (the adversary's RNG advances
-                // in event order) but lands in a later round.
-                let ids = s.reply.clone();
-                if let Some(net) = self.net.as_mut() {
-                    net.queue_answer(round, held, requester_ci as u32, target, ids);
-                }
-            } else {
-                s.events.push(PullEvent::ByzReplay { rng: snapshot });
-            }
-            return;
-        }
-        let tc = t - byz;
-        // Effective trust: an expired attestation certificate fails the
-        // freshness check even though the group keys still agree, so a
-        // degraded pair's exchange falls back to the untrusted path.
-        let both_trusted =
-            Self::effective_trusted_in(&self.trusted, self.trust.as_ref(), requester_abs)
-                && Self::effective_trusted_in(&self.trusted, self.trust.as_ref(), t);
-        let outcome_trusted = if self.scenario.real_crypto_handshakes {
-            let (a, b) = two_nodes(nodes, requester_ci, tc);
-            let (oa, ob) = RapteeNode::run_handshake(a, b);
-            debug_assert_eq!(oa, ob);
-            debug_assert_eq!(
-                oa == AuthOutcome::Trusted,
-                self.trusted[requester_abs] && self.trusted[t]
-            );
-            oa == AuthOutcome::Trusted && both_trusted
-        } else {
-            both_trusted
-        };
-        if outcome_trusted {
-            // Trusted exchanges apply inline even when the gate deferred
-            // the answer (the attested channel is synchronous); drop any
-            // pending retransmit copies so they cannot double-deliver.
-            if let Some(net) = self.net.as_mut() {
-                net.drop_pending_copies();
-            }
-        }
-        if outcome_trusted && self.scenario.trusted_swap {
-            let (a, b) = two_nodes(nodes, requester_ci, tc);
-            RapteeNode::trusted_swap(a, b);
-            s.view_mutated[requester_ci] = true;
-            s.view_mutated[tc] = true;
-        } else if outcome_trusted {
-            // The swap-disabled ablation: the pair still recognises each
-            // other, so the answer bypasses eviction, but no half-view
-            // exchange happens. Trusted answers are rare — record them
-            // immediately from the live view.
-            s.reply.clear();
-            s.reply.extend(nodes[tc].brahms().view().ids());
-            nodes[requester_ci].record_trusted_pull(&s.reply);
-        } else if let PullGate::Deferred { round, held } = gate {
-            // An untrusted answer crossing a round boundary: materialise
-            // the responder's view *now* (the answer reflects the state
-            // at request time) and deliver it in a later round.
-            let ids: Vec<NodeId> = nodes[tc].brahms().view().ids().collect();
-            if let Some(net) = self.net.as_mut() {
-                net.queue_answer(round, held, requester_ci as u32, target, ids);
-            }
-        } else {
-            // An untrusted answer: the responder's full view at this
-            // moment. If the responder's view is still exactly its
-            // post-plan snapshot, defer by reference; otherwise copy the
-            // live view into the answer arena.
-            if !s.view_mutated[tc] {
-                s.events.push(PullEvent::Snapshot {
-                    responder: tc as u32,
-                });
-            } else {
-                let start = s.arena.len() as u32;
-                s.arena.extend(nodes[tc].brahms().view().ids().map(narrow));
-                let len = s.arena.len() as u32 - start;
-                s.events.push(PullEvent::Arena { start, len });
-            }
-        }
-    }
-
-    /// One BASALT round: pushes and pulls ranked on arrival, the
-    /// adversary running the force-push attack, periodic seed rotation at
-    /// round end. Shares the rate limiter, message-loss and crash
-    /// machinery with the Brahms/RAPTEE path. Planning, push application
-    /// and finalisation shard across workers; the pull phase stays
-    /// sequential because ranked views make answers order-dependent
-    /// across nodes.
-    fn basalt_round(&mut self, s: &mut Scratch, workers: &mut Vec<WorkerScratch>) {
-        let total = self.total_actors();
-        let byz = self.byz_count;
-        let (pop, push_count) = match &self.population {
-            Population::Basalt(nodes) => (nodes.len(), nodes.first().map(|n| n.push_count())),
-            Population::Raptee(_) => unreachable!("Brahms/RAPTEE runs through raptee_round"),
-            Population::Mixed(_) => unreachable!("mixed populations run through mixed_round"),
-        };
-        // No correct nodes: nothing to simulate.
-        let Some(push_count) = push_count else {
-            return;
-        };
-
-        // Phase 1 (parallel): plans — dead nodes do not participate.
-        {
-            let Population::Basalt(nodes) = &mut self.population else {
-                unreachable!()
-            };
-            let alive = &self.alive;
-            struct Lane<'a> {
-                item: PlanItem<'a, RankedNode>,
-                plan: &'a mut BasaltPlan,
-            }
-            let mut lanes: Vec<Lane> = nodes
-                .iter_mut()
-                .zip(s.basalt_plans.iter_mut())
-                .zip(s.live.iter_mut())
-                .map(|((node, plan), live)| Lane {
-                    item: PlanItem { node, live },
-                    plan,
-                })
-                .collect();
-            rayon::par_for_each_mut(&mut lanes, |ci, lane| {
-                if alive[byz + ci] {
-                    lane.item.node.plan_round_into(lane.plan);
-                    *lane.item.live = true;
-                } else {
-                    *lane.item.live = false;
-                }
-            });
-        }
-
-        // Phase 2a (sequential control): honest pushes (each node
-        // advertises itself) through the rate limiter, counting-sorted
-        // into per-receiver runs.
-        {
-            let Scratch {
-                basalt_plans,
-                live,
-                survivors,
-                sorted,
-                counts,
-                ..
-            } = s;
-            let planned = basalt_plans
-                .iter()
-                .enumerate()
-                .filter(|(ci, _)| live[*ci])
-                .map(|(ci, p)| (byz + ci, p.push_targets.as_slice()));
-            Self::collect_and_sort_pushes(
-                &mut self.limiter,
-                &mut self.loss_rng,
-                &self.alive,
-                self.scenario.message_loss,
-                total,
-                survivors,
-                sorted,
-                counts,
-                &mut self.net,
-                self.round,
-                planned,
-            );
-        }
-
-        // Phase 2b (sequential control): the adversary's force pushes —
-        // maximal identity coverage at exactly its lawful budget
-        // B·push_count, every push charged to a Byzantine identity.
-        let budget = byz * push_count;
-        let bandit_arm = self.plan_adversary_pushes(
-            budget,
-            Adversary::plan_force_pushes_into,
-            Adversary::plan_targeted_force_pushes_into,
-            &mut s.byz_plan,
-        );
-        {
-            let Scratch {
-                byz_plan,
-                byz_survivors,
-                byz_sorted,
-                byz_counts,
-                ..
-            } = s;
-            let plan = std::mem::take(byz_plan);
-            self.collect_byz_pushes(&plan, byz_survivors, byz_sorted, byz_counts);
-            *byz_plan = plan;
-        }
-
-        // Phase 2-apply (parallel, sharded by receiver): rank the honest
-        // run, then the adversary's run, into each receiver's
-        // hit-counter view; honest senders count as discovered.
-        {
-            let Population::Basalt(nodes) = &mut self.population else {
-                unreachable!()
-            };
-            let Scratch {
-                sorted,
-                counts,
-                byz_sorted,
-                byz_counts,
-                ..
-            } = s;
-            let (sorted, counts) = (&sorted[..], &counts[..]);
-            let (byz_sorted, byz_counts) = (&byz_sorted[..], &byz_counts[..]);
-            struct Lane<'a> {
-                node: &'a mut RankedNode,
-                disc: DiscoveryLane<'a>,
-            }
-            let mut lanes: Vec<Lane> = nodes
-                .iter_mut()
-                .zip(self.discovery.rows_mut())
-                .map(|(node, disc)| Lane { node, disc })
-                .collect();
-            rayon::par_for_each_mut(&mut lanes, |ci, lane| {
-                let abs = byz + ci;
-                let (h0, h1) = run_bounds(counts, abs);
-                for &(_, sender) in &sorted[h0..h1] {
-                    let sender = widen(sender);
-                    lane.node.record_push(sender);
-                    if sender.index() >= byz && sender.index() < total {
-                        lane.disc.insert(sender.index());
-                    }
-                }
-                let (b0, b1) = run_bounds(byz_counts, abs);
-                for &(_, advertised) in &byz_sorted[b0..b1] {
-                    lane.node.record_push(widen(advertised));
-                }
-            });
-        }
-
-        // Phase 3 (sequential): pull exchanges, least-confirmed samples
-        // first. Order-dependent across nodes (every answer is ranked on
-        // arrival and shapes later answers), so this phase does not
-        // shard. Under the event model, answers deferred from earlier
-        // rounds rank first (oldest arrivals), then this round's fresh
-        // exchanges.
-        let due = self
-            .net
-            .as_mut()
-            .map(|n| n.take_due_answers())
-            .unwrap_or_default();
-        let mut due_cursor = 0usize;
-        for ci in 0..pop {
-            while due_cursor < due.len() && due[due_cursor].ci as usize <= ci {
-                let ans = &due[due_cursor];
-                due_cursor += 1;
-                if ans.ci as usize != ci {
-                    continue;
-                }
-                let fresh = self.net.as_mut().is_none_or(|n| n.accept_answer(ans.nonce));
-                if !fresh || !s.live[ci] {
-                    continue;
-                }
-                let Population::Basalt(nodes) = &mut self.population else {
-                    unreachable!()
-                };
-                nodes[ci].record_pull_answer(ans.from, &ans.ids);
-                note_discovered(&mut self.discovery, byz, total, ci, ans.from);
-                for &id in &ans.ids {
-                    note_discovered(&mut self.discovery, byz, total, ci, id);
-                }
-            }
-            if !s.live[ci] {
-                continue;
-            }
-            let n_pulls = s.basalt_plans[ci].pull_targets.len();
-            for k in 0..n_pulls {
-                let target = s.basalt_plans[ci].pull_targets[k];
-                self.basalt_pull(ci, target, s);
-            }
-        }
-        if let Some(net) = self.net.as_mut() {
-            net.restore_due_answers(due);
-        }
-
-        // Phase 4 (parallel): finalisation (seed rotation) + metrics
-        // over the per-slot samples.
-        {
-            let Population::Basalt(nodes) = &mut self.population else {
-                unreachable!()
-            };
-            let alive = &self.alive;
-            let mut items: Vec<FinishItem<RankedNode>> = nodes
-                .iter_mut()
-                .zip(s.stats.iter_mut())
-                .zip(self.discovery.rows_mut())
-                .zip(self.share_rings.rows_mut())
-                .map(|(((node, stat), disc), ring)| FinishItem {
-                    node,
-                    stat,
-                    disc,
-                    ring,
-                })
-                .collect();
-            rayon::par_for_each_mut(&mut items, |ci, it| {
-                *it.stat = RoundStat::default();
-                if !alive[byz + ci] {
-                    return;
-                }
-                it.stat.participated = true;
-                // Quarantine drain before finalisation: a no-op for
-                // BASALT/LIFT uniform configs (wlist disabled), live for
-                // Honeybee, whose verified walk endpoints pass the
-                // reachability probe here.
-                it.node
-                    .drain_wlist(|id| alive.get(id.index()).copied().unwrap_or(false));
-                it.stat.rotated = it.node.finish_round() as u32;
-                let mut len = 0usize;
-                let mut byz_in_view = 0usize;
-                it.node.for_each_sample(|id| {
-                    len += 1;
-                    if id.index() < byz {
-                        byz_in_view += 1;
-                    } else if id.index() < total {
-                        it.disc.insert(id.index());
-                    }
-                });
-                it.stat.discovered = it.disc.count() as u32;
-                if len > 0 {
-                    let share = byz_in_view as f64 / len as f64;
-                    it.stat.share = share;
-                    it.stat.has_share = true;
-                    it.stat.smoothed = it.ring.push_and_mean(share);
-                }
-            });
-        }
-        let _ = workers; // ranked-family finalisation needs no per-worker arenas
-
-        self.fold_round_stats(&s.stats);
-        self.bandit_reward(&s.stats, bandit_arm);
-    }
-
-    /// One BASALT pull exchange of the sequential phase: the responder's
-    /// distinct view flows back (through the round's reusable reply
-    /// buffer) and is ranked immediately; the responder learns the
-    /// requester (exchanges are bidirectional contacts).
-    fn basalt_pull(&mut self, requester_ci: usize, target: NodeId, s: &mut Scratch) {
-        let byz = self.byz_count;
-        let total = self.total_actors();
-        let requester_abs = byz + requester_ci;
-        let t = target.index();
-        if t == requester_abs || t >= total {
-            return;
-        }
-        // Quarantine blacklist (see `control_pull`): evict before any
-        // connection or RNG draw.
-        if self.audit.as_ref().is_some_and(|a| a.is_quarantined(t)) {
-            let Population::Basalt(nodes) = &mut self.population else {
-                unreachable!()
-            };
-            nodes[requester_ci].quarantine(target);
-            return;
-        }
-        // Event model: reachability gating and round-trip timing (see
-        // `control_pull` — refusals happen before any RNG draw).
-        let gate = match self.net.as_mut() {
-            Some(net) => net.gate_pull(self.round, requester_abs, t),
-            None => PullGate::Inline,
-        };
-        if gate == PullGate::Refused {
-            return;
-        }
-        // A crashed responder times out; its stale samples are recycled
-        // by seed rotation rather than an explicit removal. In-flight
-        // retransmit copies die with the exchange.
-        if !self.alive[t] {
-            if let Some(net) = self.net.as_mut() {
-                net.drop_pending_copies();
-            }
-            return;
-        }
-        if self.scenario.message_loss > 0.0 && self.loss_rng.chance(self.scenario.message_loss) {
-            if let Some(net) = self.net.as_mut() {
-                net.drop_pending_copies();
-            }
-            return; // request or answer lost in transit
-        }
-        let Population::Basalt(nodes) = &mut self.population else {
-            unreachable!()
-        };
-        if t < byz {
-            // Byzantine responders answer with exclusively Byzantine IDs
-            // — rank-blind poison the hit-counter view absorbs.
-            self.adversary.pull_answer_into(&mut s.reply);
-        } else {
-            nodes[t - byz].pull_answer_into(&mut s.reply);
-        }
-        if let PullGate::Deferred { round, held } = gate {
-            // The answer reflects the responder's state at request time
-            // but ranks at the requester in a later round.
-            if let Some(net) = self.net.as_mut() {
-                net.queue_answer(round, held, requester_ci as u32, target, s.reply.clone());
-            }
-        } else {
-            nodes[requester_ci].record_pull_answer(target, &s.reply);
-            // Discovery under BASALT counts *ranked candidates*: the view
-            // is deliberately stable (slots converge to their distance
-            // minima), so the Brahms "entered the dynamic view" criterion
-            // would measure rotation pacing, not knowledge. A candidate
-            // that has been ranked against every slot has genuinely been
-            // discovered.
-            note_discovered(&mut self.discovery, byz, total, requester_ci, target);
-            for idx in 0..s.reply.len() {
-                note_discovered(&mut self.discovery, byz, total, requester_ci, s.reply[idx]);
-            }
-        }
-        // The request itself arrives synchronously (requests are tiny;
-        // only answers carry enough state to matter across rounds), so
-        // the responder's contact bookkeeping stays inline.
-        let requester_id = NodeId(requester_abs as u64);
-        if t >= byz {
-            nodes[t - byz].record_push(requester_id);
-            note_discovered(&mut self.discovery, byz, total, t - byz, requester_id);
-        }
-    }
-
-    /// One mixed-population round: the same phase-parallel structure as
-    /// the uniform engines, driven per segment over the shared scratch
-    /// arenas. Shared sequential streams (rate limiter, loss RNG,
-    /// adversary coordinator RNG) are consumed in segment-layout order,
-    /// so a population with a single segment replays the uniform round's
-    /// draw sequence exactly (pinned by `tests/determinism.rs`).
-    fn mixed_round(&mut self, s: &mut Scratch, workers: &mut Vec<WorkerScratch>) {
-        let total = self.total_actors();
-        let byz = self.byz_count;
-        let stride = self.scenario.view_size;
-        let pop = self.population.len();
+        let pop = self.non_byz_total;
         if pop == 0 {
             return;
         }
 
         // Phase 1 (parallel, per segment): plans. Raptee-family rows
         // also snapshot their post-plan views (for deferred answers) and
-        // reset the per-round view-mutation flags.
-        if s.snap_ids.len() != pop * stride {
-            s.snap_ids.resize(pop * stride, NodeIdx(0));
+        // reset the per-round view-mutation flags; the snapshot arena
+        // only spans the rows up to the last Raptee-family segment.
+        let snap_rows = self
+            .segs
+            .iter()
+            .filter(|x| x.ranked_cfg.is_none())
+            .map(|x| x.start + x.len)
+            .max()
+            .unwrap_or(0);
+        if s.snap_ids.len() != snap_rows * stride {
+            s.snap_ids.resize(snap_rows * stride, NodeIdx(0));
         }
         {
-            let Population::Mixed(seg_nodes) = &mut self.population else {
-                unreachable!()
-            };
             let alive = &self.alive;
-            for (seg, nodes) in self.segs.iter().zip(seg_nodes.iter_mut()) {
+            for (seg, nodes) in self.segs.iter().zip(self.seg_nodes.iter_mut()) {
                 let start = seg.start;
                 match nodes {
                     SegmentNodes::Raptee(nodes) => {
@@ -2881,14 +1711,14 @@ impl Simulation {
                             *lane.snap_len = view.len() as u32;
                         });
                     }
-                    SegmentNodes::Basalt(nodes) => {
+                    SegmentNodes::Ranked(nodes) => {
                         struct Lane<'a> {
                             item: PlanItem<'a, RankedNode>,
                             plan: &'a mut BasaltPlan,
                         }
                         let mut lanes: Vec<Lane> = nodes
                             .iter_mut()
-                            .zip(s.basalt_plans[start..start + seg.len].iter_mut())
+                            .zip(s.ranked_plans[start..start + seg.len].iter_mut())
                             .zip(s.live[start..start + seg.len].iter_mut())
                             .map(|((node, plan), live)| Lane {
                                 item: PlanItem { node, live },
@@ -2914,22 +1744,22 @@ impl Simulation {
         {
             let Scratch {
                 plans,
-                basalt_plans,
+                ranked_plans,
                 live,
                 survivors,
                 sorted,
                 counts,
                 ..
             } = s;
-            let (plans, basalt_plans, live) = (&plans[..], &basalt_plans[..], &live[..]);
+            let (plans, ranked_plans, live) = (&plans[..], &ranked_plans[..], &live[..]);
             let segs = &self.segs;
             let planned = segs.iter().flat_map(|seg| {
-                let basalt = seg.ranked_cfg.is_some();
+                let ranked = seg.ranked_cfg.is_some();
                 (seg.start..seg.start + seg.len)
                     .filter(move |&ci| live[ci])
                     .map(move |ci| {
-                        let targets = if basalt {
-                            basalt_plans[ci].push_targets.as_slice()
+                        let targets = if ranked {
+                            ranked_plans[ci].push_targets.as_slice()
                         } else {
                             plans[ci].push_targets.as_slice()
                         };
@@ -2954,12 +1784,11 @@ impl Simulation {
         // Phase 2b (sequential control): the adversary's segment-matched
         // attacks — balanced/targeted random-ID pushes against
         // Brahms-family segments, distinct-ID force pushes against
-        // BASALT-family segments — sharing one lawful budget split
+        // ranked-family segments — sharing one lawful budget split
         // proportionally to segment sizes, then one combined delivery
         // pass through the limiter.
         let limiter_fanout = self.segs.iter().map(|x| x.fanout).max().unwrap_or(1);
         let total_budget = byz * limiter_fanout;
-        s.byz_plan.clear();
         // Adaptive mode: instead of the static proportional split, the
         // bandit concentrates the entire lawful budget on its chosen
         // (segment, strategy) arm; every other segment gets zero this
@@ -2987,6 +1816,14 @@ impl Simulation {
                     }
                 };
                 assigned += budget;
+                // Every planner clears its output first: segment 0 plans
+                // straight into the round plan, later segments are staged
+                // and appended.
+                let out = if si == 0 {
+                    &mut s.byz_plan
+                } else {
+                    &mut s.byz_seg_plan
+                };
                 if self.segs[si].ranked_cfg.is_some() {
                     Self::plan_attack(
                         &mut self.adversary,
@@ -2995,7 +1832,7 @@ impl Simulation {
                         budget,
                         Adversary::plan_force_pushes_into,
                         Adversary::plan_targeted_force_pushes_into,
-                        &mut s.byz_seg_plan,
+                        out,
                     );
                 } else {
                     Self::plan_attack(
@@ -3005,10 +1842,12 @@ impl Simulation {
                         budget,
                         Adversary::plan_balanced_pushes_into,
                         Adversary::plan_targeted_pushes_into,
-                        &mut s.byz_seg_plan,
+                        out,
                     );
                 }
-                s.byz_plan.extend_from_slice(&s.byz_seg_plan);
+                if si > 0 {
+                    s.byz_plan.extend_from_slice(&s.byz_seg_plan);
+                }
             }
         }
         {
@@ -3024,14 +1863,11 @@ impl Simulation {
             *byz_plan = plan;
         }
 
-        // Phase 2c (parallel, per BASALT segment): rank the delivered
-        // push runs into the hit-counter views (BASALT consumes pushes
-        // before the pull phase; the Brahms family consumes its runs at
-        // finish time, like the uniform engines).
+        // Phase 2c (parallel, per ranked segment): rank the delivered
+        // push runs into the ranked views (the ranked family consumes
+        // pushes before the pull phase; the Brahms family consumes its
+        // runs at finish time), counting honest senders as discovered.
         {
-            let Population::Mixed(seg_nodes) = &mut self.population else {
-                unreachable!()
-            };
             let Scratch {
                 sorted,
                 counts,
@@ -3041,8 +1877,8 @@ impl Simulation {
             } = s;
             let (sorted, counts) = (&sorted[..], &counts[..]);
             let (byz_sorted, byz_counts) = (&byz_sorted[..], &byz_counts[..]);
-            for (seg, nodes) in self.segs.iter().zip(seg_nodes.iter_mut()) {
-                let SegmentNodes::Basalt(nodes) = nodes else {
+            for (seg, nodes) in self.segs.iter().zip(self.seg_nodes.iter_mut()) {
+                let SegmentNodes::Ranked(nodes) = nodes else {
                     continue;
                 };
                 let start = seg.start;
@@ -3073,10 +1909,16 @@ impl Simulation {
             }
         }
 
-        // Phase 3 (sequential): pulls in population-index order, each
-        // requester running its own family's exchange control flow.
-        // Under the event model, answers deferred from earlier rounds
-        // deliver first, through the requester's own family path.
+        // Phase 3 (sequential control): pulls in population-index order,
+        // each requester running its own family's exchange control flow.
+        // Only the shared ordered streams run here — loss draws,
+        // handshakes, the adversary RNG, trusted swaps and the
+        // order-dependent ranked exchanges; every untrusted answer to a
+        // Raptee-family requester is deferred as a pull event for the
+        // parallel apply phase. Under the event model, answers deferred
+        // from earlier rounds deliver first (they are the oldest answers
+        // the requester sees), through the requester's own family path;
+        // dead requesters consume and drop theirs.
         s.events.clear();
         s.arena.clear();
         let due = self
@@ -3087,7 +1929,7 @@ impl Simulation {
         let mut due_cursor = 0usize;
         for si in 0..self.segs.len() {
             let (start, len) = (self.segs[si].start, self.segs[si].len);
-            let is_basalt = self.segs[si].ranked_cfg.is_some();
+            let is_ranked = self.segs[si].ranked_cfg.is_some();
             for ci in start..start + len {
                 s.event_start[ci] = s.events.len() as u32;
                 while due_cursor < due.len() && due[due_cursor].ci as usize <= ci {
@@ -3100,14 +1942,9 @@ impl Simulation {
                     if !fresh || !s.live[ci] {
                         continue;
                     }
-                    if is_basalt {
-                        let Population::Mixed(seg_nodes) = &mut self.population else {
-                            unreachable!()
-                        };
-                        let SegmentNodes::Basalt(nodes) = &mut seg_nodes[si] else {
-                            unreachable!()
-                        };
-                        nodes[ci - start].record_pull_answer(ans.from, &ans.ids);
+                    if is_ranked {
+                        ranked_at(&mut self.seg_nodes, &self.segs, &self.seg_of, ci)
+                            .record_pull_answer(ans.from, &ans.ids);
                         note_discovered(&mut self.discovery, byz, total, ci, ans.from);
                         for &id in &ans.ids {
                             note_discovered(&mut self.discovery, byz, total, ci, id);
@@ -3124,17 +1961,17 @@ impl Simulation {
                 if !s.live[ci] {
                     continue;
                 }
-                if is_basalt {
-                    let n_pulls = s.basalt_plans[ci].pull_targets.len();
+                if is_ranked {
+                    let n_pulls = s.ranked_plans[ci].pull_targets.len();
                     for k in 0..n_pulls {
-                        let target = s.basalt_plans[ci].pull_targets[k];
-                        self.mixed_basalt_pull(ci, target, s);
+                        let target = s.ranked_plans[ci].pull_targets[k];
+                        self.ranked_pull(ci, target, s);
                     }
                 } else {
                     let n_pulls = s.plans[ci].pull_targets.len();
                     for k in 0..n_pulls {
                         let target = s.plans[ci].pull_targets[k];
-                        self.mixed_control_pull(ci, target, s);
+                        self.raptee_pull(ci, target, s);
                     }
                 }
             }
@@ -3145,14 +1982,16 @@ impl Simulation {
         }
 
         // Phase 3b (sequential): proactive trusted exchanges of the
-        // Raptee segment (directory round-robin, as in the uniform
-        // engine). BASALT-family trusted nodes have no directory — their
-        // trusted exchanges are opportunistic, on the pull path.
+        // Raptee segment. Each trusted node initiates one exchange with
+        // the oldest entry of its trusted directory (framework criterion
+        // (1): round-robin probing) — the mechanism that keeps a sparse
+        // trusted population meeting every round once discovered. Swaps
+        // here cannot invalidate snapshot-deferred answers: those
+        // reference the frozen snapshot arena, not the live views.
+        // Ranked-family trusted nodes have no protocol-level directory —
+        // see phase 3d.
         if self.scenario.trusted_swap {
-            let Population::Mixed(seg_nodes) = &mut self.population else {
-                unreachable!()
-            };
-            for (seg, nodes) in self.segs.iter().zip(seg_nodes.iter_mut()) {
+            for (seg, nodes) in self.segs.iter().zip(self.seg_nodes.iter_mut()) {
                 let SegmentNodes::Raptee(nodes) = nodes else {
                     continue;
                 };
@@ -3168,6 +2007,7 @@ impl Simulation {
                         continue;
                     }
                     if !self.alive[partner.index()] {
+                        // Timeout: forget the dead trusted peer.
                         nodes[local].forget_trusted_peer(partner);
                         continue;
                     }
@@ -3176,8 +2016,9 @@ impl Simulation {
                         self.trust.as_ref(),
                         partner.index(),
                     ) {
-                        // Degraded partner: skip, don't forget (see the
-                        // uniform phase 3b).
+                        // The partner is alive but its certificate
+                        // lapsed: skip the exchange without forgetting
+                        // it — it will re-attest and answer again.
                         continue;
                     }
                     assert!(
@@ -3195,7 +2036,15 @@ impl Simulation {
             }
         }
 
-        // Phase 3c (sequential): proactive BASALT trusted exchanges off
+        // Phase 3c (sequential): adversary observation pulls for the
+        // identification attack (validated to a uniform RAPTEE
+        // population). Observation reads views and feeds the adversary's
+        // classifier; it never changes a view.
+        if self.scenario.identification_attack && byz > 0 {
+            self.observe_for_identification(&mut s.observed);
+        }
+
+        // Phase 3d (sequential): proactive BASALT trusted exchanges off
         // the engine-level directory (`Scenario::trusted_directory_refresh`)
         // — the hybrid's counterpart of the Raptee directory
         // round-robin, so trusted swaps and audit coverage don't depend
@@ -3231,60 +2080,20 @@ impl Simulation {
                 {
                     continue;
                 }
-                // Bidirectional attested swap (the `mixed_basalt_pull`
-                // both-trusted idiom): each side's distinct view ranks
-                // into the other, bypassing the waiting lists.
-                {
-                    let Population::Mixed(seg_nodes) = &mut self.population else {
-                        unreachable!()
-                    };
-                    {
-                        let partner = basalt_at(seg_nodes, &self.segs, &self.seg_of, pc);
-                        partner.pull_answer_into(&mut s.reply);
-                    }
-                    basalt_at(seg_nodes, &self.segs, &self.seg_of, ci)
-                        .record_pull_answer_trusted(NodeId(partner_abs as u64), &s.reply);
-                }
-                note_discovered(
-                    &mut self.discovery,
-                    byz,
-                    total,
-                    ci,
-                    NodeId(partner_abs as u64),
-                );
-                for idx in 0..s.reply.len() {
-                    note_discovered(&mut self.discovery, byz, total, ci, s.reply[idx]);
-                }
-                {
-                    let Population::Mixed(seg_nodes) = &mut self.population else {
-                        unreachable!()
-                    };
-                    {
-                        let me = basalt_at(seg_nodes, &self.segs, &self.seg_of, ci);
-                        me.pull_answer_into(&mut s.observed);
-                    }
-                    basalt_at(seg_nodes, &self.segs, &self.seg_of, pc)
-                        .record_pull_answer_trusted(NodeId(abs as u64), &s.observed);
-                }
-                note_discovered(&mut self.discovery, byz, total, pc, NodeId(abs as u64));
-                for idx in 0..s.observed.len() {
-                    note_discovered(&mut self.discovery, byz, total, pc, s.observed[idx]);
-                }
+                self.ranked_trusted_swap(ci, pc, s);
             }
             self.trusted_dir = dir;
         }
 
-        // Phase 4 (parallel, per segment): round finalisation. Raptee
-        // segments reconstruct their push/pull streams from the shared
-        // arenas (identical to the uniform apply phase); BASALT segments
-        // verify their waiting lists (probe contacts succeed iff the
-        // candidate is alive), then finalise.
+        // Phase 4 (parallel apply, per segment): stream reconstruction
+        // from the shared arenas, round finalisation and per-node metric
+        // observation into the stat slots. Raptee segments rebuild their
+        // push/pull streams; ranked segments drain their waiting lists
+        // (probe contacts succeed iff the candidate is alive), then
+        // finalise.
         let validation_due = self.scenario.sampler_validation_period > 0
             && (self.round + 1).is_multiple_of(self.scenario.sampler_validation_period);
         {
-            let Population::Mixed(seg_nodes) = &mut self.population else {
-                unreachable!()
-            };
             let Scratch {
                 stats,
                 events,
@@ -3304,7 +2113,7 @@ impl Simulation {
             let (byz_sorted, byz_counts) = (&byz_sorted[..], &byz_counts[..]);
             let alive = &self.alive;
             let adversary = &self.adversary;
-            for (seg, nodes) in self.segs.iter().zip(seg_nodes.iter_mut()) {
+            for (seg, nodes) in self.segs.iter().zip(self.seg_nodes.iter_mut()) {
                 let start = seg.start;
                 match nodes {
                     SegmentNodes::Raptee(nodes) => {
@@ -3409,7 +2218,7 @@ impl Simulation {
                             }
                         });
                     }
-                    SegmentNodes::Basalt(nodes) => {
+                    SegmentNodes::Ranked(nodes) => {
                         let mut items: Vec<FinishItem<RankedNode>> = nodes
                             .iter_mut()
                             .zip(stats[start..start + seg.len].iter_mut())
@@ -3455,17 +2264,77 @@ impl Simulation {
             }
         }
 
+        // Fold (sequential, node-index order — float accumulation order
+        // is exactly the historical per-actor loop's).
         self.fold_round_stats(&s.stats);
         self.bandit_reward(&s.stats, bandit_arm);
+        if self.scenario.identification_attack {
+            self.evaluate_identification();
+        }
     }
 
-    /// One pull of the mixed sequential exchange pass for a
-    /// Raptee-family requester: the uniform [`Simulation::control_pull`]
-    /// control flow (role-based auth shortcut — mixed mode forbids real
-    /// handshakes), extended with BASALT-family responders, whose ranked
-    /// answers are always materialised (their views mutate during the
-    /// pull phase) and who treat the incoming exchange as a contact.
-    fn mixed_control_pull(&mut self, requester_ci: usize, target: NodeId, s: &mut Scratch) {
+    /// The identification attack's observation pulls: every Byzantine
+    /// node observes `β·l1` correct nodes of the original population
+    /// (injected nodes excluded) and records each one's Byzantine view
+    /// share for the adversary's trusted-node classifier.
+    fn observe_for_identification(&mut self, observed: &mut Vec<NodeId>) {
+        let byz = self.byz_count;
+        // α = β in the paper's config; the single RAPTEE segment's
+        // victims start with the original population's correct nodes.
+        let beta_count = self.segs[0].fanout;
+        let candidates = &self.segs[0].victims[..self.scenario.n - byz];
+        let SegmentNodes::Raptee(nodes) = &self.seg_nodes[0] else {
+            unreachable!("the identification attack runs on uniform RAPTEE")
+        };
+        for _ in 0..byz {
+            self.adversary
+                .observation_targets_into(candidates, beta_count, observed);
+            for &t in observed.iter() {
+                let view = nodes[t.index() - byz].brahms().view();
+                if view.is_empty() {
+                    continue;
+                }
+                let byz_in_view = view.ids().filter(|id| id.index() < byz).count();
+                let share = byz_in_view as f64 / view.len() as f64;
+                self.adversary.record_share(t, share);
+            }
+        }
+    }
+
+    /// Scores this round's trusted-node classification against the
+    /// ground truth and keeps the best result (by F1) seen so far.
+    fn evaluate_identification(&mut self) {
+        let byz = self.byz_count;
+        let flagged = self
+            .adversary
+            .classify_trusted(self.scenario.identification_threshold);
+        let trusted = &self.trusted;
+        let n = self.scenario.n;
+        // Ground truth: genuine trusted nodes (injected ones are the
+        // adversary's own and excluded).
+        let actual = trusted[byz..n].iter().filter(|&&t| t).count();
+        let result = IdentificationResult::evaluate(
+            &flagged,
+            |id| id.index() < n && trusted[id.index()],
+            actual,
+            self.round,
+        );
+        if self
+            .best_identification
+            .as_ref()
+            .is_none_or(|best| result.f1 > best.f1)
+        {
+            self.best_identification = Some(result);
+        }
+    }
+
+    /// One pull of the sequential exchange pass for a Raptee-family
+    /// requester: replicates the `handle_pull` control flow but defers
+    /// untrusted answers as [`PullEvent`]s instead of copying IDs.
+    /// Ranked-family responders' answers are always materialised (their
+    /// views mutate during the pull phase), and they treat the incoming
+    /// exchange as a contact.
+    fn raptee_pull(&mut self, requester_ci: usize, target: NodeId, s: &mut Scratch) {
         let byz = self.byz_count;
         let total = self.total_actors();
         let requester_abs = byz + requester_ci;
@@ -3473,20 +2342,21 @@ impl Simulation {
         if t == requester_abs || t >= total {
             return;
         }
-        // Quarantine blacklist (see `control_pull`): drop before any
-        // connection or RNG draw.
+        // A convicted (quarantined) target is blacklisted before any
+        // connection or RNG draw: drop it from the view and the trusted
+        // directory, like a dead-peer timeout.
         if self.audit.as_ref().is_some_and(|a| a.is_quarantined(t)) {
-            let Population::Mixed(seg_nodes) = &mut self.population else {
-                unreachable!()
-            };
-            let node = raptee_at(seg_nodes, &self.segs, &self.seg_of, requester_ci);
+            let node = raptee_at(&mut self.seg_nodes, &self.segs, &self.seg_of, requester_ci);
             node.brahms_mut().view_mut().remove(target);
             node.forget_trusted_peer(target);
             s.view_mutated[requester_ci] = true;
             return;
         }
-        // Event model: reachability gating and round-trip timing (see
-        // `control_pull`).
+        // Event model: reachability gating and round-trip timing. A
+        // refused exchange never opens a connection, so (unlike a crash
+        // timeout) the requester drops nothing and no loss RNG draw
+        // happens — at the zero-latency config no exchange is ever
+        // refused and this is a pass-through.
         let gate = match self.net.as_mut() {
             Some(net) => net.gate_pull(self.round, requester_abs, t),
             None => PullGate::Inline,
@@ -3494,11 +2364,11 @@ impl Simulation {
         if gate == PullGate::Refused {
             return;
         }
+        // A crashed responder times out: the requester learns nothing
+        // and drops the stale link (Cyclon-style timeout handling). Any
+        // in-flight retransmit copies die with the exchange.
         if !self.alive[t] {
-            let Population::Mixed(seg_nodes) = &mut self.population else {
-                unreachable!()
-            };
-            let node = raptee_at(seg_nodes, &self.segs, &self.seg_of, requester_ci);
+            let node = raptee_at(&mut self.seg_nodes, &self.segs, &self.seg_of, requester_ci);
             node.brahms_mut().view_mut().remove(target);
             node.forget_trusted_peer(target);
             s.view_mutated[requester_ci] = true;
@@ -3511,12 +2381,18 @@ impl Simulation {
             if let Some(net) = self.net.as_mut() {
                 net.drop_pending_copies();
             }
-            return;
+            return; // request or answer lost in transit
         }
         if t < byz {
+            // Byzantine responders fail authentication (random keys) and
+            // answer with exclusively Byzantine IDs. The coordinator RNG
+            // must advance here, in event order; the answer itself is
+            // regenerated in parallel from the pre-draw snapshot.
             let snapshot = self.adversary.rng_snapshot();
             self.adversary.pull_answer_into(&mut s.reply);
             if let PullGate::Deferred { round, held } = gate {
+                // The answer was drawn now (the adversary's RNG advances
+                // in event order) but lands in a later round.
                 let ids = s.reply.clone();
                 if let Some(net) = self.net.as_mut() {
                     net.queue_answer(round, held, requester_ci as u32, target, ids);
@@ -3527,48 +2403,58 @@ impl Simulation {
             return;
         }
         let tc = t - byz;
-        let both_trusted =
+        // Effective trust: an expired attestation certificate fails the
+        // freshness check even though the group keys still agree, so a
+        // degraded pair's exchange falls back to the untrusted path.
+        let mut both_trusted =
             Self::effective_trusted_in(&self.trusted, self.trust.as_ref(), requester_abs)
                 && Self::effective_trusted_in(&self.trusted, self.trust.as_ref(), t);
+        let seg_nodes = &mut self.seg_nodes;
+        if self.scenario.real_crypto_handshakes {
+            // Validated to a uniform RAPTEE population: both ends share
+            // its one segment.
+            let (a, b) = raptee_pair(seg_nodes, &self.segs, &self.seg_of, requester_ci, tc);
+            let (oa, ob) = RapteeNode::run_handshake(a, b);
+            debug_assert_eq!(oa, ob);
+            debug_assert_eq!(
+                oa == AuthOutcome::Trusted,
+                self.trusted[requester_abs] && self.trusted[t]
+            );
+            both_trusted &= oa == AuthOutcome::Trusted;
+        }
         if both_trusted {
-            // Trusted exchanges apply inline even when deferred by the
-            // gate — discard pending retransmit copies (see
-            // `control_pull`).
+            // Trusted exchanges apply inline even when the gate deferred
+            // the answer (the attested channel is synchronous); drop any
+            // pending retransmit copies so they cannot double-deliver.
             if let Some(net) = self.net.as_mut() {
                 net.drop_pending_copies();
             }
         }
-        let target_basalt = self.segs[self.seg_of[tc] as usize].ranked_cfg.is_some();
-        let Population::Mixed(seg_nodes) = &mut self.population else {
-            unreachable!()
-        };
-        if !target_basalt {
+        if self.segs[self.seg_of[tc] as usize].ranked_cfg.is_none() {
             if both_trusted && self.scenario.trusted_swap {
-                let si = self.seg_of[requester_ci] as usize;
-                debug_assert_eq!(
-                    si, self.seg_of[tc] as usize,
-                    "trusted Raptee nodes share one segment"
-                );
-                let start = self.segs[si].start;
-                let SegmentNodes::Raptee(nodes) = &mut seg_nodes[si] else {
-                    unreachable!()
-                };
-                let (a, b) = two_nodes(nodes, requester_ci - start, tc - start);
+                let (a, b) = raptee_pair(seg_nodes, &self.segs, &self.seg_of, requester_ci, tc);
                 RapteeNode::trusted_swap(a, b);
                 s.view_mutated[requester_ci] = true;
                 s.view_mutated[tc] = true;
             } else if both_trusted {
+                // The swap-disabled ablation: the pair still recognises
+                // each other, so the answer bypasses eviction, but no
+                // half-view exchange happens. Trusted answers are rare —
+                // record them immediately from the live view.
                 s.reply.clear();
-                {
-                    let responder = raptee_at(seg_nodes, &self.segs, &self.seg_of, tc);
-                    s.reply.extend(responder.brahms().view().ids());
-                }
+                s.reply.extend(
+                    raptee_at(seg_nodes, &self.segs, &self.seg_of, tc)
+                        .brahms()
+                        .view()
+                        .ids(),
+                );
                 raptee_at(seg_nodes, &self.segs, &self.seg_of, requester_ci)
                     .record_trusted_pull(&s.reply);
             } else if let PullGate::Deferred { round, held } = gate {
-                // An untrusted answer crossing a round boundary (trusted
-                // exchanges above run over the attested synchronous
-                // channel and stay inline).
+                // An untrusted answer crossing a round boundary:
+                // materialise the responder's view *now* (the answer
+                // reflects the state at request time) and deliver it in
+                // a later round.
                 let ids: Vec<NodeId> = raptee_at(seg_nodes, &self.segs, &self.seg_of, tc)
                     .brahms()
                     .view()
@@ -3578,23 +2464,28 @@ impl Simulation {
                     net.queue_answer(round, held, requester_ci as u32, target, ids);
                 }
             } else if !s.view_mutated[tc] {
+                // An untrusted answer: the responder's full view at this
+                // moment — still exactly its post-plan snapshot, so defer
+                // by reference.
                 s.events.push(PullEvent::Snapshot {
                     responder: tc as u32,
                 });
             } else {
+                // The responder's view already mutated this round: copy
+                // the live view into the answer arena.
                 let start = s.arena.len() as u32;
-                {
-                    let responder = raptee_at(seg_nodes, &self.segs, &self.seg_of, tc);
-                    s.arena.extend(responder.brahms().view().ids().map(narrow));
-                }
+                s.arena.extend(
+                    raptee_at(seg_nodes, &self.segs, &self.seg_of, tc)
+                        .brahms()
+                        .view()
+                        .ids()
+                        .map(narrow),
+                );
                 let len = s.arena.len() as u32 - start;
                 s.events.push(PullEvent::Arena { start, len });
             }
         } else {
-            {
-                let responder = basalt_at(seg_nodes, &self.segs, &self.seg_of, tc);
-                responder.pull_answer_into(&mut s.reply);
-            }
+            ranked_at(seg_nodes, &self.segs, &self.seg_of, tc).pull_answer_into(&mut s.reply);
             if both_trusted {
                 // Cross-family mutual trust: no view-format-compatible
                 // swap exists, but the attested answer bypasses eviction.
@@ -3612,18 +2503,27 @@ impl Simulation {
                 s.events.push(PullEvent::Arena { start, len });
             }
             let requester_id = NodeId(requester_abs as u64);
-            basalt_at(seg_nodes, &self.segs, &self.seg_of, tc).record_push(requester_id);
+            ranked_at(seg_nodes, &self.segs, &self.seg_of, tc).record_push(requester_id);
             note_discovered(&mut self.discovery, byz, total, tc, requester_id);
         }
     }
 
-    /// One pull exchange of the mixed pass for a BASALT-family
-    /// requester: the uniform [`Simulation::basalt_pull`] flow, extended
-    /// with the hybrid's trusted exchange (a bidirectional full-view
-    /// swap bypassing both waiting lists) and Brahms-family responders
-    /// (whose dynamic view answers; the Brahms protocol has no
+    /// One pull exchange of the sequential pass for a ranked-family
+    /// requester: the responder's distinct view flows back (through the
+    /// round's reusable reply buffer) and is ranked immediately; a
+    /// ranked responder learns the requester (exchanges are
+    /// bidirectional contacts). Both-trusted BASALT+TEE pairs run the
+    /// hybrid's trusted exchange instead (a bidirectional full-view swap
+    /// bypassing both waiting lists). Brahms-family responders answer
+    /// with their dynamic view (the Brahms protocol has no
     /// responder-side hook for an incoming exchange).
-    fn mixed_basalt_pull(&mut self, requester_ci: usize, target: NodeId, s: &mut Scratch) {
+    ///
+    /// Discovery under the ranked family counts *ranked candidates*: the
+    /// views are deliberately stable (slots converge to their distance
+    /// minima), so the Brahms "entered the dynamic view" criterion would
+    /// measure rotation pacing, not knowledge. A candidate that has been
+    /// ranked against every slot has genuinely been discovered.
+    fn ranked_pull(&mut self, requester_ci: usize, target: NodeId, s: &mut Scratch) {
         let byz = self.byz_count;
         let total = self.total_actors();
         let requester_abs = byz + requester_ci;
@@ -3631,17 +2531,15 @@ impl Simulation {
         if t == requester_abs || t >= total {
             return;
         }
-        // Quarantine blacklist (see `control_pull`): evict before any
+        // Quarantine blacklist (see `raptee_pull`): evict before any
         // connection or RNG draw.
         if self.audit.as_ref().is_some_and(|a| a.is_quarantined(t)) {
-            let Population::Mixed(seg_nodes) = &mut self.population else {
-                unreachable!()
-            };
-            basalt_at(seg_nodes, &self.segs, &self.seg_of, requester_ci).quarantine(target);
+            ranked_at(&mut self.seg_nodes, &self.segs, &self.seg_of, requester_ci)
+                .quarantine(target);
             return;
         }
         // Event model: reachability gating and round-trip timing (see
-        // `control_pull`).
+        // `raptee_pull` — refusals happen before any RNG draw).
         let gate = match self.net.as_mut() {
             Some(net) => net.gate_pull(self.round, requester_abs, t),
             None => PullGate::Inline,
@@ -3649,6 +2547,10 @@ impl Simulation {
         if gate == PullGate::Refused {
             return;
         }
+        // A crashed responder times out; its stale samples are recycled
+        // by the ranked family's own churn handling rather than an
+        // explicit removal. In-flight retransmit copies die with the
+        // exchange.
         if !self.alive[t] {
             if let Some(net) = self.net.as_mut() {
                 net.drop_pending_copies();
@@ -3659,22 +2561,23 @@ impl Simulation {
             if let Some(net) = self.net.as_mut() {
                 net.drop_pending_copies();
             }
-            return;
+            return; // request or answer lost in transit
         }
         let requester_id = NodeId(requester_abs as u64);
         if t < byz {
+            // Byzantine responders answer with exclusively Byzantine IDs
+            // — rank-blind poison the ranked view absorbs.
             self.adversary.pull_answer_into(&mut s.reply);
             if let PullGate::Deferred { round, held } = gate {
+                // The answer reflects the responder's state at request
+                // time but ranks at the requester in a later round.
                 let ids = s.reply.clone();
                 if let Some(net) = self.net.as_mut() {
                     net.queue_answer(round, held, requester_ci as u32, target, ids);
                 }
                 return;
             }
-            let Population::Mixed(seg_nodes) = &mut self.population else {
-                unreachable!()
-            };
-            basalt_at(seg_nodes, &self.segs, &self.seg_of, requester_ci)
+            ranked_at(&mut self.seg_nodes, &self.segs, &self.seg_of, requester_ci)
                 .record_pull_answer(target, &s.reply);
             note_discovered(&mut self.discovery, byz, total, requester_ci, target);
             for idx in 0..s.reply.len() {
@@ -3688,64 +2591,45 @@ impl Simulation {
                 && Self::effective_trusted_in(&self.trusted, self.trust.as_ref(), t);
         if both_trusted {
             // Trusted exchanges apply inline regardless of the gate —
-            // discard pending retransmit copies (see `control_pull`).
+            // discard pending retransmit copies (see `raptee_pull`).
             if let Some(net) = self.net.as_mut() {
                 net.drop_pending_copies();
             }
         }
-        let target_basalt = self.segs[self.seg_of[tc] as usize].ranked_cfg.is_some();
-        let Population::Mixed(seg_nodes) = &mut self.population else {
-            unreachable!()
-        };
-        if target_basalt {
-            {
-                let responder = basalt_at(seg_nodes, &self.segs, &self.seg_of, tc);
-                responder.pull_answer_into(&mut s.reply);
+        let seg_nodes = &mut self.seg_nodes;
+        if self.segs[self.seg_of[tc] as usize].ranked_cfg.is_some() {
+            if both_trusted {
+                self.ranked_trusted_swap(requester_ci, tc, s);
+                return;
             }
-            if let (PullGate::Deferred { round, held }, false) = (gate, both_trusted) {
-                // Untrusted cross-round answer; the responder-side
-                // contact bookkeeping below stays inline (the request
-                // arrives synchronously).
+            ranked_at(seg_nodes, &self.segs, &self.seg_of, tc).pull_answer_into(&mut s.reply);
+            if let PullGate::Deferred { round, held } = gate {
                 let ids = s.reply.clone();
                 if let Some(net) = self.net.as_mut() {
                     net.queue_answer(round, held, requester_ci as u32, target, ids);
                 }
             } else {
-                let requester = basalt_at(seg_nodes, &self.segs, &self.seg_of, requester_ci);
-                if both_trusted {
-                    requester.record_pull_answer_trusted(target, &s.reply);
-                } else {
-                    requester.record_pull_answer(target, &s.reply);
-                }
+                ranked_at(seg_nodes, &self.segs, &self.seg_of, requester_ci)
+                    .record_pull_answer(target, &s.reply);
                 note_discovered(&mut self.discovery, byz, total, requester_ci, target);
                 for idx in 0..s.reply.len() {
                     note_discovered(&mut self.discovery, byz, total, requester_ci, s.reply[idx]);
                 }
             }
-            if both_trusted {
-                // The swap's reverse half: the requester's attested
-                // distinct view ranks into the responder, bypassing its
-                // waiting list.
-                {
-                    let requester = basalt_at(seg_nodes, &self.segs, &self.seg_of, requester_ci);
-                    requester.pull_answer_into(&mut s.observed);
-                }
-                basalt_at(seg_nodes, &self.segs, &self.seg_of, tc)
-                    .record_pull_answer_trusted(requester_id, &s.observed);
-                note_discovered(&mut self.discovery, byz, total, tc, requester_id);
-                for idx in 0..s.observed.len() {
-                    note_discovered(&mut self.discovery, byz, total, tc, s.observed[idx]);
-                }
-            } else {
-                basalt_at(seg_nodes, &self.segs, &self.seg_of, tc).record_push(requester_id);
-                note_discovered(&mut self.discovery, byz, total, tc, requester_id);
-            }
+            // The request itself arrives synchronously (requests are
+            // tiny; only answers carry enough state to matter across
+            // rounds), so the responder's contact bookkeeping stays
+            // inline even when the answer was deferred.
+            ranked_at(seg_nodes, &self.segs, &self.seg_of, tc).record_push(requester_id);
+            note_discovered(&mut self.discovery, byz, total, tc, requester_id);
         } else {
             s.reply.clear();
-            {
-                let responder = raptee_at(seg_nodes, &self.segs, &self.seg_of, tc);
-                s.reply.extend(responder.brahms().view().ids());
-            }
+            s.reply.extend(
+                raptee_at(seg_nodes, &self.segs, &self.seg_of, tc)
+                    .brahms()
+                    .view()
+                    .ids(),
+            );
             if let (PullGate::Deferred { round, held }, false) = (gate, both_trusted) {
                 let ids = s.reply.clone();
                 if let Some(net) = self.net.as_mut() {
@@ -3753,7 +2637,7 @@ impl Simulation {
                 }
                 return;
             }
-            let requester = basalt_at(seg_nodes, &self.segs, &self.seg_of, requester_ci);
+            let requester = ranked_at(seg_nodes, &self.segs, &self.seg_of, requester_ci);
             if both_trusted {
                 requester.record_pull_answer_trusted(target, &s.reply);
             } else {
@@ -3766,56 +2650,69 @@ impl Simulation {
         }
     }
 
+    /// The BASALT+TEE trusted exchange between ranked correct nodes `ci`
+    /// and `pc`: a bidirectional attested swap over the synchronous
+    /// channel, in which each side's distinct view ranks into the other,
+    /// bypassing both waiting lists.
+    fn ranked_trusted_swap(&mut self, ci: usize, pc: usize, s: &mut Scratch) {
+        let (byz, total) = (self.byz_count, self.total_actors());
+        let (segs, seg_of) = (&self.segs, &self.seg_of);
+        let halves = [(ci, pc, &mut s.reply), (pc, ci, &mut s.observed)];
+        for (to, from, buf) in halves {
+            let from_id = NodeId((byz + from) as u64);
+            ranked_at(&mut self.seg_nodes, segs, seg_of, from).pull_answer_into(buf);
+            ranked_at(&mut self.seg_nodes, segs, seg_of, to)
+                .record_pull_answer_trusted(from_id, buf);
+            note_discovered(&mut self.discovery, byz, total, to, from_id);
+            for &id in buf.iter() {
+                note_discovered(&mut self.discovery, byz, total, to, id);
+            }
+        }
+    }
+
     /// Folds the apply phase's per-node stat slots, in node-index order,
     /// into the run counters and this round's [`RoundAccumulator`], then
-    /// into the run series. Mixed populations additionally fold each
-    /// segment's mean raw share and mean discovered fraction into its
-    /// per-segment series — the combined accumulator sees exactly the
-    /// same addition sequence either way.
+    /// into the run series, and each segment's mean raw share and mean
+    /// discovered fraction into its per-segment series. Segments are
+    /// laid out in index order, so the combined accumulator sees exactly
+    /// the historical node-order addition sequence.
     fn fold_round_stats(&mut self, stats: &[RoundStat]) {
         let mut acc = RoundAccumulator::new();
-        if self.segs.is_empty() {
-            for stat in stats {
+        let target_pool = (self.non_byz_total as f64).max(1.0);
+        for si in 0..self.segs.len() {
+            let (start, len) = (self.segs[si].start, self.segs[si].len);
+            let mut seg_sum = 0.0;
+            let mut seg_count = 0usize;
+            let mut seg_disc_sum = 0usize;
+            let mut seg_disc_count = 0usize;
+            for stat in &stats[start..start + len] {
                 self.accumulate_stat(stat, &mut acc);
-            }
-        } else {
-            let target_pool = (self.non_byz_total as f64).max(1.0);
-            for si in 0..self.segs.len() {
-                let (start, len) = (self.segs[si].start, self.segs[si].len);
-                let mut seg_sum = 0.0;
-                let mut seg_count = 0usize;
-                let mut seg_disc_sum = 0usize;
-                let mut seg_disc_count = 0usize;
-                for stat in &stats[start..start + len] {
-                    self.accumulate_stat(stat, &mut acc);
-                    if !stat.participated {
-                        continue;
-                    }
-                    seg_disc_sum += stat.discovered as usize;
-                    seg_disc_count += 1;
-                    if stat.has_share {
-                        seg_sum += stat.share;
-                        seg_count += 1;
-                    }
+                if !stat.participated {
+                    continue;
                 }
-                self.seg_series[si].push(if seg_count == 0 {
-                    0.0
-                } else {
-                    seg_sum / seg_count as f64
-                });
-                self.seg_discovered_series[si].push(if seg_disc_count == 0 {
-                    0.0
-                } else {
-                    seg_disc_sum as f64 / seg_disc_count as f64 / target_pool
-                });
+                seg_disc_sum += stat.discovered as usize;
+                seg_disc_count += 1;
+                if stat.has_share {
+                    seg_sum += stat.share;
+                    seg_count += 1;
+                }
             }
+            self.seg_series[si].push(if seg_count == 0 {
+                0.0
+            } else {
+                seg_sum / seg_count as f64
+            });
+            self.seg_discovered_series[si].push(if seg_disc_count == 0 {
+                0.0
+            } else {
+                seg_disc_sum as f64 / seg_disc_count as f64 / target_pool
+            });
         }
         self.finish_round_metrics(&acc, stats);
     }
 
     /// Folds one node's round outcome into the run counters and the
-    /// round accumulator (extracted so the uniform and segmented folds
-    /// share the exact accumulation order).
+    /// round accumulator.
     fn accumulate_stat(&mut self, stat: &RoundStat, acc: &mut RoundAccumulator) {
         if !stat.participated {
             return;
@@ -3906,13 +2803,14 @@ impl Simulation {
             crate::metrics::DISCOVERY_TARGET_SHARE,
         );
         // Per-segment pollution, discovery and stability: one entry per
-        // population segment (a uniform run is one segment covering
-        // everything, so `segments` is never empty and combined ==
-        // segments[0]).
-        let segments: Vec<SegmentResult> = if self.segs.is_empty() {
+        // population segment. A single segment covers every correct node,
+        // so it reports the combined fields — including the combined
+        // stability round, whose spread criterion has no per-segment
+        // counterpart.
+        let segments: Vec<SegmentResult> = if let [seg] = &self.segs[..] {
             vec![SegmentResult {
-                protocol: self.scenario.protocol,
-                nodes: self.population.len(),
+                protocol: seg.protocol,
+                nodes: seg.len,
                 resilience,
                 mean_discovery_round,
                 stability_round,
@@ -4126,6 +3024,18 @@ mod tests {
             .all(|id| id.index() < s.byzantine_count()));
         let result = sim.run();
         assert_eq!(result.rounds, s.rounds);
+    }
+
+    #[test]
+    fn all_byzantine_population_runs_without_correct_nodes() {
+        let mut s = small(Protocol::Raptee);
+        s.byzantine_fraction = 1.0;
+        s.trusted_fraction = 0.0;
+        s.rounds = 3;
+        let r = Simulation::new(s).run();
+        assert_eq!(r.rounds, 3);
+        assert_eq!(r.segments.len(), 1);
+        assert_eq!(r.segments[0].nodes, 0);
     }
 
     #[test]

@@ -859,7 +859,7 @@ impl Scenario {
                 );
                 assert!(
                     !self.real_crypto_handshakes,
-                    "real handshakes are wired for the uniform Brahms-family pull path"
+                    "real handshakes need a uniform Brahms or RAPTEE population"
                 );
             }
             Protocol::Lift {
@@ -902,15 +902,15 @@ impl Scenario {
     fn validate_population(&self) {
         assert!(
             self.injected_poisoned_fraction == 0.0,
-            "trusted-node injection is a uniform-RAPTEE attack (no mixed populations)"
+            "trusted-node injection needs a uniform RAPTEE population (no mixed populations)"
         );
         assert!(
             !self.identification_attack,
-            "the identification attack is a uniform-RAPTEE attack (no mixed populations)"
+            "the identification attack needs a uniform RAPTEE population (no mixed populations)"
         );
         assert!(
             !self.real_crypto_handshakes,
-            "real handshakes are wired for the uniform Brahms-family path only"
+            "real handshakes need a uniform Brahms or RAPTEE population (no mixed populations)"
         );
         let mut sum = 0usize;
         for (i, seg) in self.population.iter().enumerate() {
@@ -1012,10 +1012,11 @@ impl Scenario {
         let capable: Vec<usize> = (0..segs.len())
             .filter(|&i| segs[i].protocol.supports_trusted())
             .collect();
-        if capable.is_empty() {
+        let cap_total: usize = capable.iter().map(|&i| segs[i].count).sum();
+        // No TEE-capable segment, or an all-Byzantine population.
+        if cap_total == 0 {
             return out;
         }
-        let cap_total: usize = capable.iter().map(|&i| segs[i].count).sum();
         let total = self.total_trusted_target().min(cap_total);
         let mut assigned = 0usize;
         for &i in &capable {

@@ -79,6 +79,17 @@ fn churn_scenario() -> Scenario {
     s
 }
 
+/// Section VI: the adversary's injected view-poisoned trusted nodes (5 %
+/// of `n` on top of the population, bootstrapped inside a Byzantine-only
+/// network) together with the identification attack's observation
+/// pulls — the two uniform-RAPTEE-only attack surfaces in one pinned run.
+fn injection_identification_scenario() -> Scenario {
+    let mut s = base(Protocol::Raptee);
+    s.injected_poisoned_fraction = 0.05;
+    s.identification_attack = true;
+    s
+}
+
 fn basalt_targeted_scenario() -> Scenario {
     let mut s = base(Protocol::Brahms).basalt_variant(10);
     s.attack = AttackStrategy::Targeted {
@@ -268,6 +279,26 @@ fn assert_golden(name: &str, scenario: Scenario, golden: Fingerprint) {
     );
 }
 
+/// Asserts the identification attack's best result bit-for-bit:
+/// `(precision, recall, f1)` bits and the round it was reached. The
+/// [`Fingerprint`] cannot see it — observation pulls never touch a view.
+fn assert_identification(name: &str, scenario: Scenario, golden: (u64, u64, u64, usize)) {
+    let r = Simulation::new(scenario).run();
+    let i = r
+        .identification
+        .unwrap_or_else(|| panic!("{name}: the identification attack is on"));
+    assert_eq!(
+        (
+            i.precision.to_bits(),
+            i.recall.to_bits(),
+            i.f1.to_bits(),
+            i.round
+        ),
+        golden,
+        "{name}: IdentificationResult diverged from the pinned engine"
+    );
+}
+
 // Golden constants captured from the engine BEFORE the perf rewrite
 // (PR 2 state), at the scenarios above.
 
@@ -345,6 +376,54 @@ fn golden_raptee_under_churn_loss_validation_and_identification() {
             rotations: 0,
         },
     );
+    assert_identification(
+        "raptee-churn",
+        churn_scenario(),
+        (
+            0x3fd83759f2298376,
+            0x3fedddddddddddde,
+            0x3fe13b13b13b13b2,
+            48,
+        ),
+    );
+}
+
+// Golden constants for trusted-node injection with the identification
+// attack, captured before the uniform engine lane was folded into the
+// segmented one (the injected nodes now form the tail of the single
+// RAPTEE segment).
+
+#[test]
+fn golden_raptee_injection_and_identification() {
+    assert_golden(
+        "raptee-injection",
+        injection_identification_scenario(),
+        Fingerprint {
+            resilience_bits: 0x3fd5994ee5c03cb5,
+            series_hash: 0x5b2b812ae5d23d7d,
+            discovery: None,
+            mean_discovery_bits: Some(4632609917600741988),
+            stability: Some(7),
+            spread_stability: None,
+            floods: 2,
+            evicted: 30874,
+            rotations: 0,
+        },
+    );
+    assert_identification(
+        "raptee-injection",
+        injection_identification_scenario(),
+        (
+            0x3fd5555555555555,
+            0x3febbbbbbbbbbbbc,
+            0x3fded097b425ed09,
+            56,
+        ),
+    );
+    // The injected nodes count in the single segment: 135 correct + 8.
+    let r = Simulation::new(injection_identification_scenario()).run();
+    assert_eq!(r.segments.len(), 1);
+    assert_eq!(r.segments[0].nodes, 143);
 }
 
 #[test]
@@ -368,8 +447,8 @@ fn golden_basalt_under_targeted_attack_and_loss() {
 
 // Golden constants for the PR 5 mixed-population engine, captured at
 // its introduction commit. The *uniform* goldens above pin the
-// segmented engine indirectly too: a single-segment population must be
-// bit-identical to them (see
+// segmented engine too: a uniform scenario runs as a single segment, and
+// an explicit single-segment population must match it (see
 // `mixed_single_segment_population_matches_uniform_engine`).
 
 #[test]
@@ -553,10 +632,11 @@ fn sketch_mode_only_moves_discovery_metrics() {
 
 #[test]
 fn mixed_single_segment_population_matches_uniform_engine() {
-    // The property the segmented engine is built around: a population
-    // spec whose single segment covers 100 % of the correct nodes must
-    // be *bit-identical* to the uniform single-protocol path — same RNG
-    // draw order end to end, for every protocol family and under
+    // The property the segmented engine is built around: a uniform
+    // scenario *is* one segment covering the correct population, so an
+    // explicit population spec spelling that segment out must yield a
+    // bit-identical RunResult — same RNG draw order end to end, same
+    // segment report, for every protocol family and under
     // churn/loss/validation.
     let scenarios: [(&str, Scenario); 6] = [
         ("brahms", base(Protocol::Brahms).brahms_baseline()),
@@ -588,14 +668,15 @@ fn mixed_single_segment_population_matches_uniform_engine() {
             fingerprint(&b),
             "{name}: single-segment population diverged from the uniform engine"
         );
+        // The whole result, segment report included: a single segment
+        // reports the combined discovery and stability fields.
         assert_eq!(
-            a.byz_share_series, b.byz_share_series,
-            "{name}: full series must match"
+            a, b,
+            "{name}: single-segment RunResult diverged from the uniform one"
         );
         assert_eq!(
-            a.segments[0].resilience.to_bits(),
-            b.segments[0].resilience.to_bits(),
-            "{name}: the single segment must report the combined resilience"
+            a.segments[0].stability_round, a.stability_round,
+            "{name}: the single segment must report the combined stability"
         );
     }
 }
@@ -608,13 +689,14 @@ fn single_run_identical_across_intra_run_thread_counts() {
     // override) must produce bit-identical RunResults for all three
     // protocols and each attack type, including churn/loss/validation
     // and the deferred Byzantine pull-answer replay.
-    let scenarios: [(&str, Scenario); 17] = [
+    let scenarios: [(&str, Scenario); 18] = [
         ("brahms", base(Protocol::Brahms).brahms_baseline()),
         ("raptee", base(Protocol::Raptee)),
         ("basalt", base(Protocol::Brahms).basalt_variant(15)),
         ("lift", lift_scenario()),
         ("honeybee", honeybee_scenario()),
         ("raptee-churn", churn_scenario()),
+        ("raptee-injection", injection_identification_scenario()),
         ("basalt-targeted", basalt_targeted_scenario()),
         ("adaptive-mixed", adaptive_mixed_scenario()),
         ("mixed-brahms-basalt", mixed_brahms_basalt_scenario()),
