@@ -97,7 +97,8 @@ impl Adversary {
         &self.byzantine_ids
     }
 
-    /// Plans this round's balanced push attack: returns
+    /// Plans this round's balanced push attack into `plan` (cleared
+    /// first; the engine reuses one buffer per round) as
     /// `(victim, advertised Byzantine ID)` pairs. `budget` is the
     /// adversary's lawful total (`B · α·l1`, enforced upstream by the
     /// rate limiter); `victims` are the correct nodes.
@@ -105,19 +106,6 @@ impl Adversary {
     /// Pushes are spread evenly: every victim receives
     /// `⌊budget / |victims|⌋`, and the remainder goes to a random subset
     /// — the "evenly balanced push messages" of the paper.
-    pub fn plan_balanced_pushes(
-        &mut self,
-        victims: &[NodeId],
-        budget: usize,
-    ) -> Vec<(NodeId, NodeId)> {
-        let mut plan = Vec::new();
-        self.plan_balanced_pushes_into(victims, budget, &mut plan);
-        plan
-    }
-
-    /// [`Adversary::plan_balanced_pushes`] into a caller-owned plan
-    /// buffer (cleared first) — the engine reuses one buffer per round.
-    /// The RNG draw sequence is identical to the allocating variant.
     pub fn plan_balanced_pushes_into(
         &mut self,
         victims: &[NodeId],
@@ -155,19 +143,11 @@ impl Adversary {
         }
     }
 
-    /// Answers a pull request: a full view of exclusively Byzantine IDs
-    /// (distinct when enough identities exist). When poisoned trusted
-    /// nodes have been injected, one answer in four carries a single
-    /// injected ID in place of a Byzantine one — enough for discovery,
-    /// negligible dilution.
-    pub fn pull_answer(&mut self) -> Vec<NodeId> {
-        let mut answer = Vec::new();
-        self.pull_answer_into(&mut answer);
-        answer
-    }
-
-    /// [`Adversary::pull_answer`] into a caller-owned buffer (cleared
-    /// first); identical RNG draw sequence.
+    /// Answers a pull request into `out` (cleared first): a full view of
+    /// exclusively Byzantine IDs (distinct when enough identities
+    /// exist). When poisoned trusted nodes have been injected, one answer
+    /// in four carries a single injected ID in place of a Byzantine one —
+    /// enough for discovery, negligible dilution.
     pub fn pull_answer_into(&mut self, out: &mut Vec<NodeId>) {
         let Self {
             rng,
@@ -232,51 +212,26 @@ impl Adversary {
         }
     }
 
-    /// Records the Byzantine share observed in a pull answer received
-    /// from non-Byzantine node `from` (identification attack data
-    /// collection).
-    pub fn observe_pull_answer(
-        &mut self,
-        from: NodeId,
-        answer: &[NodeId],
-        is_byz: impl Fn(NodeId) -> bool,
-    ) {
-        if answer.is_empty() {
+    /// Records the Byzantine share `byz / len` observed in a pull answer
+    /// of `len` IDs from non-Byzantine node `from` (identification attack
+    /// data collection; the engine counts Byzantine IDs in place instead
+    /// of cloning pull answers). An empty answer records nothing.
+    pub fn record_share(&mut self, from: NodeId, byz: usize, len: usize) {
+        if len == 0 {
             return;
         }
-        let byz = answer.iter().filter(|&&id| is_byz(id)).count();
-        let share = byz as f64 / answer.len() as f64;
-        self.record_share(from, share);
-    }
-
-    /// Records an already-computed Byzantine share for node `from` (used
-    /// by the engine, which computes shares in place instead of cloning
-    /// pull answers).
-    pub fn record_share(&mut self, from: NodeId, share: f64) {
         if let Some(slot) = self.observations.get_mut(from.index()) {
-            *slot = Some(Observation { byz_share: share });
+            *slot = Some(Observation {
+                byz_share: byz as f64 / len as f64,
+            });
         }
     }
 
     /// Plans a *targeted* attack (the strategy Brahms' history sampling
-    /// is designed to defeat): a fraction of the budget floods a small
-    /// victim set, the rest stays balanced over everyone. Returns
-    /// `(victim, advertised ID)` pairs like
-    /// [`Adversary::plan_balanced_pushes`].
-    pub fn plan_targeted_pushes(
-        &mut self,
-        all_victims: &[NodeId],
-        targets: &[NodeId],
-        budget: usize,
-        focus: f64,
-    ) -> Vec<(NodeId, NodeId)> {
-        let mut plan = Vec::new();
-        self.plan_targeted_pushes_into(all_victims, targets, budget, focus, &mut plan);
-        plan
-    }
-
-    /// [`Adversary::plan_targeted_pushes`] into a caller-owned plan
-    /// buffer (cleared first); identical RNG draw sequence.
+    /// is designed to defeat) into `plan` (cleared first): a `focus`
+    /// share of the budget floods the `targets`, the rest stays balanced
+    /// over everyone, as `(victim, advertised ID)` pairs like
+    /// [`Adversary::plan_balanced_pushes_into`].
     pub fn plan_targeted_pushes_into(
         &mut self,
         all_victims: &[NodeId],
@@ -326,20 +281,9 @@ impl Adversary {
     /// instead of a random draw. Against a min-rank view, repeating an ID
     /// buys nothing — the adversary's best play is maximal *coverage*, so
     /// that every slot where some Byzantine ID happens to rank closest is
-    /// found as quickly as possible. Returns `(victim, advertised)` pairs
-    /// like [`Adversary::plan_balanced_pushes`].
-    pub fn plan_force_pushes(
-        &mut self,
-        victims: &[NodeId],
-        budget: usize,
-    ) -> Vec<(NodeId, NodeId)> {
-        let mut plan = Vec::new();
-        self.plan_force_pushes_into(victims, budget, &mut plan);
-        plan
-    }
-
-    /// [`Adversary::plan_force_pushes`] into a caller-owned plan buffer
-    /// (cleared first); identical RNG draw sequence.
+    /// found as quickly as possible. Plans into `plan` (cleared first) as
+    /// `(victim, advertised)` pairs like
+    /// [`Adversary::plan_balanced_pushes_into`].
     pub fn plan_force_pushes_into(
         &mut self,
         victims: &[NodeId],
@@ -383,25 +327,11 @@ impl Adversary {
     }
 
     /// The *targeted* force-push attack: like
-    /// [`Adversary::plan_targeted_pushes`], a `focus` share of the budget
-    /// floods the victim subset, the rest stays balanced — but every push
-    /// advertises distinct Byzantine identities round-robin, the only
-    /// lever that matters against a ranked view. Returns
-    /// `(victim, advertised)` pairs.
-    pub fn plan_targeted_force_pushes(
-        &mut self,
-        all_victims: &[NodeId],
-        targets: &[NodeId],
-        budget: usize,
-        focus: f64,
-    ) -> Vec<(NodeId, NodeId)> {
-        let mut plan = Vec::new();
-        self.plan_targeted_force_pushes_into(all_victims, targets, budget, focus, &mut plan);
-        plan
-    }
-
-    /// [`Adversary::plan_targeted_force_pushes`] into a caller-owned plan
-    /// buffer (cleared first); identical RNG draw sequence.
+    /// [`Adversary::plan_targeted_pushes_into`], a `focus` share of the
+    /// budget floods the victim subset, the rest stays balanced — but
+    /// every push advertises distinct Byzantine identities round-robin,
+    /// the only lever that matters against a ranked view. Plans into
+    /// `plan` (cleared first) as `(victim, advertised)` pairs.
     pub fn plan_targeted_force_pushes_into(
         &mut self,
         all_victims: &[NodeId],
@@ -420,14 +350,9 @@ impl Adversary {
         );
     }
 
-    /// Picks `k` observation targets uniformly among `candidates` (the
-    /// Byzantine nodes' own pull requests for the identification attack).
-    pub fn observation_targets(&mut self, candidates: &[NodeId], k: usize) -> Vec<NodeId> {
-        self.rng.sample(candidates, k)
-    }
-
-    /// [`Adversary::observation_targets`] into a caller-owned buffer
-    /// (cleared first); identical RNG draw sequence.
+    /// Picks `k` observation targets uniformly among `candidates` into
+    /// `out` (cleared first) — the Byzantine nodes' own pull requests for
+    /// the identification attack.
     pub fn observation_targets_into(
         &mut self,
         candidates: &[NodeId],
@@ -584,12 +509,61 @@ mod tests {
         Adversary::new((0..byz).map(NodeId).collect(), total, 10, 7)
     }
 
+    fn balanced(a: &mut Adversary, victims: &[NodeId], budget: usize) -> PushPlan {
+        let mut plan = vec![(NodeId(999), NodeId(999))]; // stale: cleared
+        a.plan_balanced_pushes_into(victims, budget, &mut plan);
+        plan
+    }
+
+    fn targeted(
+        a: &mut Adversary,
+        all: &[NodeId],
+        targets: &[NodeId],
+        budget: usize,
+        focus: f64,
+    ) -> PushPlan {
+        let mut plan = vec![(NodeId(999), NodeId(999))];
+        a.plan_targeted_pushes_into(all, targets, budget, focus, &mut plan);
+        plan
+    }
+
+    fn force(a: &mut Adversary, victims: &[NodeId], budget: usize) -> PushPlan {
+        let mut plan = vec![(NodeId(999), NodeId(999))];
+        a.plan_force_pushes_into(victims, budget, &mut plan);
+        plan
+    }
+
+    fn targeted_force(
+        a: &mut Adversary,
+        all: &[NodeId],
+        targets: &[NodeId],
+        budget: usize,
+        focus: f64,
+    ) -> PushPlan {
+        let mut plan = vec![(NodeId(999), NodeId(999))];
+        a.plan_targeted_force_pushes_into(all, targets, budget, focus, &mut plan);
+        plan
+    }
+
+    fn answer(a: &mut Adversary) -> Vec<NodeId> {
+        let mut out = vec![NodeId(999)];
+        a.pull_answer_into(&mut out);
+        out
+    }
+
+    /// Records `answer` from `from` the way the engine's observation
+    /// pass does: Byzantine IDs (`< byz`) counted in place.
+    fn observe(a: &mut Adversary, from: NodeId, answer: &[NodeId], byz: u64) {
+        let byz_ids = answer.iter().filter(|id| id.0 < byz).count();
+        a.record_share(from, byz_ids, answer.len());
+    }
+
     #[test]
     fn balanced_pushes_are_even_and_within_budget() {
         let mut a = adversary(20, 100);
         let victims: Vec<NodeId> = (20..100).map(NodeId).collect();
         let budget = 20 * 4; // B·α·l1 with α·l1 = 4
-        let plan = a.plan_balanced_pushes(&victims, budget);
+        let plan = balanced(&mut a, &victims, budget);
         assert_eq!(plan.len(), budget);
         // Per-victim counts differ by at most one.
         let mut counts = vec![0usize; 100];
@@ -606,16 +580,16 @@ mod tests {
     #[test]
     fn push_plan_edge_cases() {
         let mut a = adversary(5, 10);
-        assert!(a.plan_balanced_pushes(&[], 10).is_empty());
-        assert!(a.plan_balanced_pushes(&[NodeId(9)], 0).is_empty());
+        assert!(balanced(&mut a, &[], 10).is_empty());
+        assert!(balanced(&mut a, &[NodeId(9)], 0).is_empty());
         let mut empty = Adversary::new(vec![], 10, 10, 1);
-        assert!(empty.plan_balanced_pushes(&[NodeId(9)], 10).is_empty());
+        assert!(balanced(&mut empty, &[NodeId(9)], 10).is_empty());
     }
 
     #[test]
     fn pull_answers_are_fully_byzantine_and_distinct() {
         let mut a = adversary(50, 100);
-        let ans = a.pull_answer();
+        let ans = answer(&mut a);
         assert_eq!(ans.len(), 10);
         assert!(ans.iter().all(|id| id.0 < 50));
         let mut dedup = ans.clone();
@@ -627,24 +601,23 @@ mod tests {
     #[test]
     fn pull_answer_with_few_identities() {
         let mut a = adversary(3, 100);
-        let ans = a.pull_answer();
+        let ans = answer(&mut a);
         assert_eq!(ans.len(), 3, "cannot exceed the identity pool");
     }
 
     #[test]
     fn identification_flags_low_share_nodes() {
         let mut a = adversary(10, 100);
-        let is_byz = |id: NodeId| id.0 < 10;
         // Regular honest nodes: ~50 % Byzantine answers.
         for i in 20..40u64 {
             let answer: Vec<NodeId> = (0..10)
                 .map(|k| NodeId(if k % 2 == 0 { k } else { 50 + k }))
                 .collect();
-            a.observe_pull_answer(NodeId(i), &answer, is_byz);
+            observe(&mut a, NodeId(i), &answer, 10);
         }
         // One trusted-looking node: 0 % Byzantine.
         let clean: Vec<NodeId> = (50..60).map(NodeId).collect();
-        a.observe_pull_answer(NodeId(40), &clean, is_byz);
+        observe(&mut a, NodeId(40), &clean, 10);
         let flagged = a.classify_trusted(0.1);
         assert_eq!(flagged, vec![NodeId(40)]);
         assert_eq!(a.observed_count(), 21);
@@ -654,10 +627,9 @@ mod tests {
     fn identification_silent_without_contrast() {
         // All nodes look alike → nobody exceeds the threshold.
         let mut a = adversary(10, 100);
-        let is_byz = |id: NodeId| id.0 < 10;
         for i in 20..40u64 {
             let answer: Vec<NodeId> = (0..10).map(NodeId).collect(); // 100 % byz
-            a.observe_pull_answer(NodeId(i), &answer, is_byz);
+            observe(&mut a, NodeId(i), &answer, 10);
         }
         assert!(a.classify_trusted(0.1).is_empty());
         // And with no observations at all.
@@ -669,7 +641,8 @@ mod tests {
     fn observation_targets_sampled_from_candidates() {
         let mut a = adversary(10, 100);
         let candidates: Vec<NodeId> = (10..100).map(NodeId).collect();
-        let targets = a.observation_targets(&candidates, 5);
+        let mut targets = vec![NodeId(0); 7]; // stale entries are cleared
+        a.observation_targets_into(&candidates, 5, &mut targets);
         assert_eq!(targets.len(), 5);
         assert!(targets.iter().all(|t| t.0 >= 10));
     }
@@ -680,7 +653,7 @@ mod tests {
         let all: Vec<NodeId> = (20..200).map(NodeId).collect();
         let targets: Vec<NodeId> = (20..29).map(NodeId).collect();
         let budget = 80;
-        let plan = a.plan_targeted_pushes(&all, &targets, budget, 0.75);
+        let plan = targeted(&mut a, &all, &targets, budget, 0.75);
         assert_eq!(plan.len(), budget);
         let focused = plan.iter().filter(|(v, _)| targets.contains(v)).count();
         // 75% of the budget goes to the 9 victims (they also receive a
@@ -695,10 +668,10 @@ mod tests {
     fn targeted_plan_degenerates_to_balanced() {
         let mut a = adversary(20, 200);
         let all: Vec<NodeId> = (20..200).map(NodeId).collect();
-        let plan = a.plan_targeted_pushes(&all, &[], 40, 0.9);
+        let plan = targeted(&mut a, &all, &[], 40, 0.9);
         assert_eq!(plan.len(), 40, "empty target set falls back to balanced");
         let mut b = adversary(20, 200);
-        assert!(b.plan_targeted_pushes(&all, &all[..2], 0, 0.9).is_empty());
+        assert!(targeted(&mut b, &all, &all[..2], 0, 0.9).is_empty());
     }
 
     #[test]
@@ -708,7 +681,7 @@ mod tests {
         let mut injected_slots = 0usize;
         let mut total_slots = 0usize;
         for _ in 0..200 {
-            let ans = a.pull_answer();
+            let ans = answer(&mut a);
             assert!(ans.iter().all(|id| id.0 < 5 || id.0 >= 90));
             injected_slots += ans.iter().filter(|id| id.0 >= 90).count();
             total_slots += ans.len();
@@ -726,7 +699,7 @@ mod tests {
         let mut a = adversary(20, 100);
         let victims: Vec<NodeId> = (20..100).map(NodeId).collect();
         let budget = 20 * 4;
-        let plan = a.plan_force_pushes(&victims, budget);
+        let plan = force(&mut a, &victims, budget);
         assert_eq!(plan.len(), budget);
         // Every Byzantine identity is advertised (budget ≥ identities),
         // and the per-victim spread stays balanced.
@@ -753,7 +726,7 @@ mod tests {
         let victims = [NodeId(10)];
         let mut seen: Vec<u64> = Vec::new();
         for _ in 0..4 {
-            for (_, id) in a.plan_force_pushes(&victims, 2) {
+            for (_, id) in force(&mut a, &victims, 2) {
                 seen.push(id.0);
             }
         }
@@ -768,7 +741,7 @@ mod tests {
         let all: Vec<NodeId> = (20..200).map(NodeId).collect();
         let targets: Vec<NodeId> = (20..29).map(NodeId).collect();
         let budget = 80;
-        let plan = a.plan_targeted_force_pushes(&all, &targets, budget, 0.75);
+        let plan = targeted_force(&mut a, &all, &targets, budget, 0.75);
         assert_eq!(plan.len(), budget);
         let focused = plan.iter().filter(|(v, _)| targets.contains(v)).count();
         assert!(
@@ -785,19 +758,17 @@ mod tests {
         victim_ids.dedup();
         assert_eq!(victim_ids.len(), 20, "victims see the full identity pool");
         // Degenerate forms.
-        assert_eq!(a.plan_targeted_force_pushes(&all, &[], 40, 0.9).len(), 40);
-        assert!(a
-            .plan_targeted_force_pushes(&all, &targets, 0, 0.9)
-            .is_empty());
+        assert_eq!(targeted_force(&mut a, &all, &[], 40, 0.9).len(), 40);
+        assert!(targeted_force(&mut a, &all, &targets, 0, 0.9).is_empty());
     }
 
     #[test]
     fn force_push_edge_cases() {
         let mut a = adversary(5, 10);
-        assert!(a.plan_force_pushes(&[], 10).is_empty());
-        assert!(a.plan_force_pushes(&[NodeId(9)], 0).is_empty());
+        assert!(force(&mut a, &[], 10).is_empty());
+        assert!(force(&mut a, &[NodeId(9)], 0).is_empty());
         let mut empty = Adversary::new(vec![], 10, 10, 1);
-        assert!(empty.plan_force_pushes(&[NodeId(9)], 10).is_empty());
+        assert!(force(&mut empty, &[NodeId(9)], 10).is_empty());
     }
 
     #[test]
@@ -807,7 +778,7 @@ mod tests {
         let (mut idx, mut out) = (Vec::new(), Vec::new());
         for _ in 0..100 {
             let mut snap = a.rng_snapshot();
-            let original = a.pull_answer();
+            let original = answer(&mut a);
             a.replay_pull_answer(&mut snap, &mut idx, &mut out);
             assert_eq!(out, original, "replay must be bit-identical");
         }
@@ -816,7 +787,7 @@ mod tests {
     #[test]
     fn empty_answer_not_recorded() {
         let mut a = adversary(10, 100);
-        a.observe_pull_answer(NodeId(50), &[], |_| false);
+        observe(&mut a, NodeId(50), &[], 10);
         assert_eq!(a.observed_count(), 0);
     }
 

@@ -8,8 +8,11 @@
 //! Every run is segmented: the correct population is a list of
 //! contiguous per-protocol segments ([`Scenario::segments`]), and a
 //! uniform scenario is simply one segment covering all of it. One
-//! builder, one round loop and one pull function per requester family
-//! (Brahms/RAPTEE vs ranked) drive every protocol mix.
+//! builder, one round loop and one pull exchange drive every protocol
+//! mix: `pull` runs the shared prelude and the trusted swaps for every
+//! requester/responder pair, `deliver` defers or queues each other
+//! answer, and `record_answer` is the one point where an answer lands
+//! at its requester, inline or late.
 //!
 //! Round structure (mirroring the paper's 2.5 s protocol rounds):
 //!
@@ -83,7 +86,7 @@ use raptee_honeybee::HoneybeeConfig;
 use raptee_lift::LiftConfig;
 use raptee_net::{IdInterner, NodeId, NodeIdx, PushRateLimiter};
 use raptee_tee::AttestationService;
-use raptee_util::rng::{mix64, Xoshiro256StarStar};
+use raptee_util::rng::{hash_unit, mix64, Xoshiro256StarStar};
 
 /// Rounds of per-node share smoothing for the spread-stability check.
 const SMOOTHING_WINDOW: usize = 10;
@@ -105,13 +108,6 @@ const ADAPTIVE_STRATEGIES: [AttackStrategy; 3] = [
         focus: 0.75,
     },
 ];
-
-/// Maps a hash draw to a uniform in the open interval `(0, 1)` — the
-/// same mapping the event substrate uses, so churn draws share its
-/// statistical properties without sharing (or perturbing) its streams.
-fn hash_unit(x: u64) -> f64 {
-    ((x >> 11) as f64 + 0.5) / (1u64 << 53) as f64
-}
 
 /// Run-long recovery accounting, allocated only when dynamic churn or
 /// attestation expiry is active (so the all-off configuration carries
@@ -250,6 +246,19 @@ enum PullEvent {
     },
 }
 
+/// One non-swap pull answer on its way from [`Simulation::pull`] to
+/// [`Simulation::deliver`].
+enum Answer {
+    /// A Byzantine answer, already drawn into the round's reply buffer,
+    /// with the adversary's RNG state from just before the draw.
+    Byz(Xoshiro256StarStar),
+    /// The live view of the Raptee-family responder at this population
+    /// index, not yet materialised.
+    RapteeView(usize),
+    /// A ranked responder's answer, already in the round's reply buffer.
+    Reply,
+}
+
 /// Per-node round outcome slot, written by the parallel apply phase and
 /// folded sequentially in node-index order.
 #[derive(Debug, Clone, Default)]
@@ -385,11 +394,10 @@ struct Scratch {
     byz_sorted: Vec<(u32, NodeIdx)>,
     /// Counting-sort offsets for the adversary runs.
     byz_counts: Vec<u32>,
-    /// Reusable sequential-phase answer buffer (ranked pulls, trusted
-    /// ablation answers, adversary RNG advancement).
+    /// Reusable sequential-phase answer buffer (Byzantine and ranked
+    /// answers, materialised Raptee views, ranked trusted swaps).
     reply: Vec<NodeId>,
-    /// Reusable observation-target buffer (identification attack) and
-    /// reverse-half answer buffer of ranked trusted swaps.
+    /// Reusable observation-target buffer (identification attack).
     observed: Vec<NodeId>,
     /// Deferred pull answers, requester-major.
     events: Vec<PullEvent>,
@@ -413,6 +421,16 @@ struct Scratch {
 }
 
 impl Scratch {
+    /// Population index `ci`'s planned pull targets (`ranked` selects
+    /// its family's plan lane).
+    fn pull_targets(&self, ranked: bool, ci: usize) -> &[NodeId] {
+        if ranked {
+            &self.ranked_plans[ci].pull_targets
+        } else {
+            &self.plans[ci].pull_targets
+        }
+    }
+
     /// Sizes the per-node lanes once (no-op afterwards).
     fn ensure_capacity(&mut self, pop: usize) {
         if self.live.len() != pop {
@@ -1910,15 +1928,15 @@ impl Simulation {
         }
 
         // Phase 3 (sequential control): pulls in population-index order,
-        // each requester running its own family's exchange control flow.
+        // every requester/responder pair through one exchange (`pull`).
         // Only the shared ordered streams run here — loss draws,
         // handshakes, the adversary RNG, trusted swaps and the
         // order-dependent ranked exchanges; every untrusted answer to a
         // Raptee-family requester is deferred as a pull event for the
         // parallel apply phase. Under the event model, answers deferred
         // from earlier rounds deliver first (they are the oldest answers
-        // the requester sees), through the requester's own family path;
-        // dead requesters consume and drop theirs.
+        // the requester sees), through the same `record_answer` sink as
+        // inline ones; dead requesters consume and drop theirs.
         s.events.clear();
         s.arena.clear();
         let due = self
@@ -1927,53 +1945,26 @@ impl Simulation {
             .map(|n| n.take_due_answers())
             .unwrap_or_default();
         let mut due_cursor = 0usize;
-        for si in 0..self.segs.len() {
-            let (start, len) = (self.segs[si].start, self.segs[si].len);
-            let is_ranked = self.segs[si].ranked_cfg.is_some();
-            for ci in start..start + len {
-                s.event_start[ci] = s.events.len() as u32;
-                while due_cursor < due.len() && due[due_cursor].ci as usize <= ci {
-                    let ans = &due[due_cursor];
-                    due_cursor += 1;
-                    if ans.ci as usize != ci {
-                        continue;
-                    }
-                    let fresh = self.net.as_mut().is_none_or(|n| n.accept_answer(ans.nonce));
-                    if !fresh || !s.live[ci] {
-                        continue;
-                    }
-                    if is_ranked {
-                        ranked_at(&mut self.seg_nodes, &self.segs, &self.seg_of, ci)
-                            .record_pull_answer(ans.from, &ans.ids);
-                        note_discovered(&mut self.discovery, byz, total, ci, ans.from);
-                        for &id in &ans.ids {
-                            note_discovered(&mut self.discovery, byz, total, ci, id);
-                        }
-                    } else {
-                        let a0 = s.arena.len() as u32;
-                        s.arena.extend(ans.ids.iter().map(|&id| narrow(id)));
-                        s.events.push(PullEvent::Arena {
-                            start: a0,
-                            len: ans.ids.len() as u32,
-                        });
-                    }
-                }
-                if !s.live[ci] {
+        for ci in 0..pop {
+            s.event_start[ci] = s.events.len() as u32;
+            while due_cursor < due.len() && due[due_cursor].ci as usize <= ci {
+                let ans = &due[due_cursor];
+                due_cursor += 1;
+                if ans.ci as usize != ci {
                     continue;
                 }
-                if is_ranked {
-                    let n_pulls = s.ranked_plans[ci].pull_targets.len();
-                    for k in 0..n_pulls {
-                        let target = s.ranked_plans[ci].pull_targets[k];
-                        self.ranked_pull(ci, target, s);
-                    }
-                } else {
-                    let n_pulls = s.plans[ci].pull_targets.len();
-                    for k in 0..n_pulls {
-                        let target = s.plans[ci].pull_targets[k];
-                        self.raptee_pull(ci, target, s);
-                    }
+                let fresh = self.net.as_mut().is_none_or(|n| n.accept_answer(ans.nonce));
+                if fresh && s.live[ci] {
+                    self.record_answer(ci, ans.from, false, &ans.ids, &mut s.events, &mut s.arena);
                 }
+            }
+            if !s.live[ci] {
+                continue;
+            }
+            let ranked = self.is_ranked(ci);
+            for k in 0..s.pull_targets(ranked, ci).len() {
+                let target = s.pull_targets(ranked, ci)[k];
+                self.pull(ci, target, s);
             }
         }
         s.event_start[pop] = s.events.len() as u32;
@@ -2291,12 +2282,8 @@ impl Simulation {
                 .observation_targets_into(candidates, beta_count, observed);
             for &t in observed.iter() {
                 let view = nodes[t.index() - byz].brahms().view();
-                if view.is_empty() {
-                    continue;
-                }
                 let byz_in_view = view.ids().filter(|id| id.index() < byz).count();
-                let share = byz_in_view as f64 / view.len() as f64;
-                self.adversary.record_share(t, share);
+                self.adversary.record_share(t, byz_in_view, view.len());
             }
         }
     }
@@ -2328,28 +2315,30 @@ impl Simulation {
         }
     }
 
-    /// One pull of the sequential exchange pass for a Raptee-family
-    /// requester: replicates the `handle_pull` control flow but defers
-    /// untrusted answers as [`PullEvent`]s instead of copying IDs.
-    /// Ranked-family responders' answers are always materialised (their
-    /// views mutate during the pull phase), and they treat the incoming
-    /// exchange as a contact.
-    fn raptee_pull(&mut self, requester_ci: usize, target: NodeId, s: &mut Scratch) {
+    /// Whether correct node `ci` lives in a ranked-family segment.
+    fn is_ranked(&self, ci: usize) -> bool {
+        self.segs[self.seg_of[ci] as usize].ranked_cfg.is_some()
+    }
+
+    /// One pull exchange of the sequential pass, for every
+    /// requester/responder pair: the shared prelude (quarantine, event-net
+    /// gate, dead-target timeout, message loss), then mutual
+    /// authentication. A both-trusted same-family pair runs its family's
+    /// trusted swap inline; every other answer goes to [`Self::deliver`].
+    /// A ranked responder treats the incoming exchange as a contact (the
+    /// Brahms protocol has no responder-side hook for one).
+    fn pull(&mut self, ci: usize, target: NodeId, s: &mut Scratch) {
         let byz = self.byz_count;
         let total = self.total_actors();
-        let requester_abs = byz + requester_ci;
+        let abs = byz + ci;
         let t = target.index();
-        if t == requester_abs || t >= total {
+        if t == abs || t >= total {
             return;
         }
         // A convicted (quarantined) target is blacklisted before any
-        // connection or RNG draw: drop it from the view and the trusted
-        // directory, like a dead-peer timeout.
+        // connection or RNG draw.
         if self.audit.as_ref().is_some_and(|a| a.is_quarantined(t)) {
-            let node = raptee_at(&mut self.seg_nodes, &self.segs, &self.seg_of, requester_ci);
-            node.brahms_mut().view_mut().remove(target);
-            node.forget_trusted_peer(target);
-            s.view_mutated[requester_ci] = true;
+            self.drop_peer(ci, target, true, s);
             return;
         }
         // Event model: reachability gating and round-trip timing. A
@@ -2358,7 +2347,7 @@ impl Simulation {
         // happens — at the zero-latency config no exchange is ever
         // refused and this is a pass-through.
         let gate = match self.net.as_mut() {
-            Some(net) => net.gate_pull(self.round, requester_abs, t),
+            Some(net) => net.gate_pull(self.round, abs, t),
             None => PullGate::Inline,
         };
         if gate == PullGate::Refused {
@@ -2368,10 +2357,7 @@ impl Simulation {
         // and drops the stale link (Cyclon-style timeout handling). Any
         // in-flight retransmit copies die with the exchange.
         if !self.alive[t] {
-            let node = raptee_at(&mut self.seg_nodes, &self.segs, &self.seg_of, requester_ci);
-            node.brahms_mut().view_mut().remove(target);
-            node.forget_trusted_peer(target);
-            s.view_mutated[requester_ci] = true;
+            self.drop_peer(ci, target, false, s);
             if let Some(net) = self.net.as_mut() {
                 net.drop_pending_copies();
             }
@@ -2386,43 +2372,33 @@ impl Simulation {
         if t < byz {
             // Byzantine responders fail authentication (random keys) and
             // answer with exclusively Byzantine IDs. The coordinator RNG
-            // must advance here, in event order; the answer itself is
-            // regenerated in parallel from the pre-draw snapshot.
-            let snapshot = self.adversary.rng_snapshot();
+            // must advance here, in event order; a Raptee-family
+            // requester regenerates the answer in parallel from the
+            // pre-draw snapshot.
+            let rng = self.adversary.rng_snapshot();
             self.adversary.pull_answer_into(&mut s.reply);
-            if let PullGate::Deferred { round, held } = gate {
-                // The answer was drawn now (the adversary's RNG advances
-                // in event order) but lands in a later round.
-                let ids = s.reply.clone();
-                if let Some(net) = self.net.as_mut() {
-                    net.queue_answer(round, held, requester_ci as u32, target, ids);
-                }
-            } else {
-                s.events.push(PullEvent::ByzReplay { rng: snapshot });
-            }
+            self.deliver(ci, target, gate, Answer::Byz(rng), false, s);
             return;
         }
         let tc = t - byz;
         // Effective trust: an expired attestation certificate fails the
         // freshness check even though the group keys still agree, so a
         // degraded pair's exchange falls back to the untrusted path.
-        let mut both_trusted =
-            Self::effective_trusted_in(&self.trusted, self.trust.as_ref(), requester_abs)
-                && Self::effective_trusted_in(&self.trusted, self.trust.as_ref(), t);
-        let seg_nodes = &mut self.seg_nodes;
+        let mut trusted = Self::effective_trusted_in(&self.trusted, self.trust.as_ref(), abs)
+            && Self::effective_trusted_in(&self.trusted, self.trust.as_ref(), t);
         if self.scenario.real_crypto_handshakes {
             // Validated to a uniform RAPTEE population: both ends share
             // its one segment.
-            let (a, b) = raptee_pair(seg_nodes, &self.segs, &self.seg_of, requester_ci, tc);
+            let (a, b) = raptee_pair(&mut self.seg_nodes, &self.segs, &self.seg_of, ci, tc);
             let (oa, ob) = RapteeNode::run_handshake(a, b);
             debug_assert_eq!(oa, ob);
             debug_assert_eq!(
                 oa == AuthOutcome::Trusted,
-                self.trusted[requester_abs] && self.trusted[t]
+                self.trusted[abs] && self.trusted[t]
             );
-            both_trusted &= oa == AuthOutcome::Trusted;
+            trusted &= oa == AuthOutcome::Trusted;
         }
-        if both_trusted {
+        if trusted {
             // Trusted exchanges apply inline even when the gate deferred
             // the answer (the attested channel is synchronous); drop any
             // pending retransmit copies so they cannot double-deliver.
@@ -2430,223 +2406,164 @@ impl Simulation {
                 net.drop_pending_copies();
             }
         }
-        if self.segs[self.seg_of[tc] as usize].ranked_cfg.is_none() {
-            if both_trusted && self.scenario.trusted_swap {
-                let (a, b) = raptee_pair(seg_nodes, &self.segs, &self.seg_of, requester_ci, tc);
+        // A both-trusted same-family pair swaps views. A trusted pair
+        // that cannot swap — across families (no view-format-compatible
+        // swap exists) or under the swap-disabled ablation — still
+        // recognises each other, so its answer is recorded as trusted,
+        // bypassing eviction and the waiting list.
+        let ranked = self.is_ranked(ci);
+        let responder_ranked = self.is_ranked(tc);
+        if trusted && ranked == responder_ranked && (ranked || self.scenario.trusted_swap) {
+            if ranked {
+                self.ranked_trusted_swap(ci, tc, s);
+            } else {
+                let (a, b) = raptee_pair(&mut self.seg_nodes, &self.segs, &self.seg_of, ci, tc);
                 RapteeNode::trusted_swap(a, b);
-                s.view_mutated[requester_ci] = true;
+                s.view_mutated[ci] = true;
                 s.view_mutated[tc] = true;
-            } else if both_trusted {
-                // The swap-disabled ablation: the pair still recognises
-                // each other, so the answer bypasses eviction, but no
-                // half-view exchange happens. Trusted answers are rare —
-                // record them immediately from the live view.
-                s.reply.clear();
-                s.reply.extend(
-                    raptee_at(seg_nodes, &self.segs, &self.seg_of, tc)
-                        .brahms()
-                        .view()
-                        .ids(),
-                );
-                raptee_at(seg_nodes, &self.segs, &self.seg_of, requester_ci)
-                    .record_trusted_pull(&s.reply);
-            } else if let PullGate::Deferred { round, held } = gate {
-                // An untrusted answer crossing a round boundary:
-                // materialise the responder's view *now* (the answer
-                // reflects the state at request time) and deliver it in
-                // a later round.
-                let ids: Vec<NodeId> = raptee_at(seg_nodes, &self.segs, &self.seg_of, tc)
-                    .brahms()
-                    .view()
-                    .ids()
-                    .collect();
-                if let Some(net) = self.net.as_mut() {
-                    net.queue_answer(round, held, requester_ci as u32, target, ids);
-                }
-            } else if !s.view_mutated[tc] {
-                // An untrusted answer: the responder's full view at this
-                // moment — still exactly its post-plan snapshot, so defer
-                // by reference.
-                s.events.push(PullEvent::Snapshot {
-                    responder: tc as u32,
-                });
-            } else {
-                // The responder's view already mutated this round: copy
-                // the live view into the answer arena.
-                let start = s.arena.len() as u32;
-                s.arena.extend(
-                    raptee_at(seg_nodes, &self.segs, &self.seg_of, tc)
-                        .brahms()
-                        .view()
-                        .ids()
-                        .map(narrow),
-                );
-                let len = s.arena.len() as u32 - start;
-                s.events.push(PullEvent::Arena { start, len });
             }
-        } else {
-            ranked_at(seg_nodes, &self.segs, &self.seg_of, tc).pull_answer_into(&mut s.reply);
-            if both_trusted {
-                // Cross-family mutual trust: no view-format-compatible
-                // swap exists, but the attested answer bypasses eviction.
-                raptee_at(seg_nodes, &self.segs, &self.seg_of, requester_ci)
-                    .record_trusted_pull(&s.reply);
-            } else if let PullGate::Deferred { round, held } = gate {
-                let ids = s.reply.clone();
-                if let Some(net) = self.net.as_mut() {
-                    net.queue_answer(round, held, requester_ci as u32, target, ids);
-                }
-            } else {
-                let start = s.arena.len() as u32;
-                s.arena.extend(s.reply.iter().map(|&id| narrow(id)));
-                let len = s.arena.len() as u32 - start;
-                s.events.push(PullEvent::Arena { start, len });
+            return;
+        }
+        if !responder_ranked {
+            self.deliver(ci, target, gate, Answer::RapteeView(tc), trusted, s);
+            return;
+        }
+        ranked_at(&mut self.seg_nodes, &self.segs, &self.seg_of, tc).pull_answer_into(&mut s.reply);
+        self.deliver(ci, target, gate, Answer::Reply, trusted, s);
+        // The request itself arrives synchronously (requests are tiny;
+        // only answers carry enough state to matter across rounds), so
+        // the responder's contact bookkeeping stays inline even when the
+        // answer was deferred.
+        let requester = NodeId(abs as u64);
+        ranked_at(&mut self.seg_nodes, &self.segs, &self.seg_of, tc).record_push(requester);
+        note_discovered(&mut self.discovery, byz, total, tc, requester);
+    }
+
+    /// Drops `peer` after a failed pull by correct node `ci`. A
+    /// Raptee-family requester removes it from its view and trusted
+    /// directory (so its view no longer matches the post-plan snapshot);
+    /// a ranked requester quarantines a convicted peer and leaves a dead
+    /// one to the ranked family's own churn handling.
+    fn drop_peer(&mut self, ci: usize, peer: NodeId, quarantined: bool, s: &mut Scratch) {
+        let si = self.seg_of[ci] as usize;
+        let local = ci - self.segs[si].start;
+        match &mut self.seg_nodes[si] {
+            SegmentNodes::Raptee(v) => {
+                v[local].brahms_mut().view_mut().remove(peer);
+                v[local].forget_trusted_peer(peer);
+                s.view_mutated[ci] = true;
             }
-            let requester_id = NodeId(requester_abs as u64);
-            ranked_at(seg_nodes, &self.segs, &self.seg_of, tc).record_push(requester_id);
-            note_discovered(&mut self.discovery, byz, total, tc, requester_id);
+            SegmentNodes::Ranked(v) => {
+                if quarantined {
+                    v[local].quarantine(peer);
+                }
+            }
         }
     }
 
-    /// One pull exchange of the sequential pass for a ranked-family
-    /// requester: the responder's distinct view flows back (through the
-    /// round's reusable reply buffer) and is ranked immediately; a
-    /// ranked responder learns the requester (exchanges are
-    /// bidirectional contacts). Both-trusted BASALT+TEE pairs run the
-    /// hybrid's trusted exchange instead (a bidirectional full-view swap
-    /// bypassing both waiting lists). Brahms-family responders answer
-    /// with their dynamic view (the Brahms protocol has no
-    /// responder-side hook for an incoming exchange).
+    /// Hands one pull answer from `from` to correct requester `ci`. An
+    /// untrusted answer the gate deferred is materialised now (it
+    /// reflects the responder's state at request time) and queued for a
+    /// later round; trusted answers always apply inline. A Raptee-family
+    /// requester defers an inline untrusted Byzantine answer as an
+    /// adversary-RNG snapshot and an untouched responder view by
+    /// snapshot reference; every other answer goes to
+    /// [`Self::record_answer`].
+    fn deliver(
+        &mut self,
+        ci: usize,
+        from: NodeId,
+        gate: PullGate,
+        answer: Answer,
+        trusted: bool,
+        s: &mut Scratch,
+    ) {
+        let deferred = match gate {
+            PullGate::Deferred { round, held } if !trusted => Some((round, held)),
+            _ => None,
+        };
+        if deferred.is_none() && !trusted && !self.is_ranked(ci) {
+            match answer {
+                Answer::Byz(rng) => {
+                    s.events.push(PullEvent::ByzReplay { rng });
+                    return;
+                }
+                Answer::RapteeView(tc) if !s.view_mutated[tc] => {
+                    s.events.push(PullEvent::Snapshot {
+                        responder: tc as u32,
+                    });
+                    return;
+                }
+                _ => {}
+            }
+        }
+        if let Answer::RapteeView(tc) = answer {
+            s.reply.clear();
+            s.reply.extend(
+                raptee_at(&mut self.seg_nodes, &self.segs, &self.seg_of, tc)
+                    .brahms()
+                    .view()
+                    .ids(),
+            );
+        }
+        match deferred {
+            Some((round, held)) => {
+                if let Some(net) = self.net.as_mut() {
+                    net.queue_answer(round, held, ci as u32, from, s.reply.clone());
+                }
+            }
+            None => self.record_answer(ci, from, trusted, &s.reply, &mut s.events, &mut s.arena),
+        }
+    }
+
+    /// Records pull answer `ids` from `from` at correct requester `ci`,
+    /// for inline and late (deferred) answers alike: a ranked requester
+    /// ranks it ([`Self::rank_answer`]); a Raptee-family requester takes
+    /// a trusted answer as a trusted pull (bypassing eviction) and
+    /// copies an untrusted one into the answer arena for the apply phase.
+    fn record_answer(
+        &mut self,
+        ci: usize,
+        from: NodeId,
+        trusted: bool,
+        ids: &[NodeId],
+        events: &mut Vec<PullEvent>,
+        arena: &mut Vec<NodeIdx>,
+    ) {
+        if self.is_ranked(ci) {
+            self.rank_answer(ci, from, trusted, ids);
+        } else if trusted {
+            raptee_at(&mut self.seg_nodes, &self.segs, &self.seg_of, ci).record_trusted_pull(ids);
+        } else {
+            let start = arena.len() as u32;
+            arena.extend(ids.iter().map(|&id| narrow(id)));
+            events.push(PullEvent::Arena {
+                start,
+                len: ids.len() as u32,
+            });
+        }
+    }
+
+    /// Ranks answer `ids` from `from` into ranked node `ci`'s view on
+    /// arrival (a trusted answer bypasses the waiting list) and counts
+    /// the responder and every answered ID as discovered.
     ///
     /// Discovery under the ranked family counts *ranked candidates*: the
     /// views are deliberately stable (slots converge to their distance
     /// minima), so the Brahms "entered the dynamic view" criterion would
     /// measure rotation pacing, not knowledge. A candidate that has been
     /// ranked against every slot has genuinely been discovered.
-    fn ranked_pull(&mut self, requester_ci: usize, target: NodeId, s: &mut Scratch) {
-        let byz = self.byz_count;
-        let total = self.total_actors();
-        let requester_abs = byz + requester_ci;
-        let t = target.index();
-        if t == requester_abs || t >= total {
-            return;
-        }
-        // Quarantine blacklist (see `raptee_pull`): evict before any
-        // connection or RNG draw.
-        if self.audit.as_ref().is_some_and(|a| a.is_quarantined(t)) {
-            ranked_at(&mut self.seg_nodes, &self.segs, &self.seg_of, requester_ci)
-                .quarantine(target);
-            return;
-        }
-        // Event model: reachability gating and round-trip timing (see
-        // `raptee_pull` — refusals happen before any RNG draw).
-        let gate = match self.net.as_mut() {
-            Some(net) => net.gate_pull(self.round, requester_abs, t),
-            None => PullGate::Inline,
-        };
-        if gate == PullGate::Refused {
-            return;
-        }
-        // A crashed responder times out; its stale samples are recycled
-        // by the ranked family's own churn handling rather than an
-        // explicit removal. In-flight retransmit copies die with the
-        // exchange.
-        if !self.alive[t] {
-            if let Some(net) = self.net.as_mut() {
-                net.drop_pending_copies();
-            }
-            return;
-        }
-        if self.scenario.message_loss > 0.0 && self.loss_rng.chance(self.scenario.message_loss) {
-            if let Some(net) = self.net.as_mut() {
-                net.drop_pending_copies();
-            }
-            return; // request or answer lost in transit
-        }
-        let requester_id = NodeId(requester_abs as u64);
-        if t < byz {
-            // Byzantine responders answer with exclusively Byzantine IDs
-            // — rank-blind poison the ranked view absorbs.
-            self.adversary.pull_answer_into(&mut s.reply);
-            if let PullGate::Deferred { round, held } = gate {
-                // The answer reflects the responder's state at request
-                // time but ranks at the requester in a later round.
-                let ids = s.reply.clone();
-                if let Some(net) = self.net.as_mut() {
-                    net.queue_answer(round, held, requester_ci as u32, target, ids);
-                }
-                return;
-            }
-            ranked_at(&mut self.seg_nodes, &self.segs, &self.seg_of, requester_ci)
-                .record_pull_answer(target, &s.reply);
-            note_discovered(&mut self.discovery, byz, total, requester_ci, target);
-            for idx in 0..s.reply.len() {
-                note_discovered(&mut self.discovery, byz, total, requester_ci, s.reply[idx]);
-            }
-            return;
-        }
-        let tc = t - byz;
-        let both_trusted =
-            Self::effective_trusted_in(&self.trusted, self.trust.as_ref(), requester_abs)
-                && Self::effective_trusted_in(&self.trusted, self.trust.as_ref(), t);
-        if both_trusted {
-            // Trusted exchanges apply inline regardless of the gate —
-            // discard pending retransmit copies (see `raptee_pull`).
-            if let Some(net) = self.net.as_mut() {
-                net.drop_pending_copies();
-            }
-        }
-        let seg_nodes = &mut self.seg_nodes;
-        if self.segs[self.seg_of[tc] as usize].ranked_cfg.is_some() {
-            if both_trusted {
-                self.ranked_trusted_swap(requester_ci, tc, s);
-                return;
-            }
-            ranked_at(seg_nodes, &self.segs, &self.seg_of, tc).pull_answer_into(&mut s.reply);
-            if let PullGate::Deferred { round, held } = gate {
-                let ids = s.reply.clone();
-                if let Some(net) = self.net.as_mut() {
-                    net.queue_answer(round, held, requester_ci as u32, target, ids);
-                }
-            } else {
-                ranked_at(seg_nodes, &self.segs, &self.seg_of, requester_ci)
-                    .record_pull_answer(target, &s.reply);
-                note_discovered(&mut self.discovery, byz, total, requester_ci, target);
-                for idx in 0..s.reply.len() {
-                    note_discovered(&mut self.discovery, byz, total, requester_ci, s.reply[idx]);
-                }
-            }
-            // The request itself arrives synchronously (requests are
-            // tiny; only answers carry enough state to matter across
-            // rounds), so the responder's contact bookkeeping stays
-            // inline even when the answer was deferred.
-            ranked_at(seg_nodes, &self.segs, &self.seg_of, tc).record_push(requester_id);
-            note_discovered(&mut self.discovery, byz, total, tc, requester_id);
+    fn rank_answer(&mut self, ci: usize, from: NodeId, trusted: bool, ids: &[NodeId]) {
+        let (byz, total) = (self.byz_count, self.total_actors());
+        let node = ranked_at(&mut self.seg_nodes, &self.segs, &self.seg_of, ci);
+        if trusted {
+            node.record_pull_answer_trusted(from, ids);
         } else {
-            s.reply.clear();
-            s.reply.extend(
-                raptee_at(seg_nodes, &self.segs, &self.seg_of, tc)
-                    .brahms()
-                    .view()
-                    .ids(),
-            );
-            if let (PullGate::Deferred { round, held }, false) = (gate, both_trusted) {
-                let ids = s.reply.clone();
-                if let Some(net) = self.net.as_mut() {
-                    net.queue_answer(round, held, requester_ci as u32, target, ids);
-                }
-                return;
-            }
-            let requester = ranked_at(seg_nodes, &self.segs, &self.seg_of, requester_ci);
-            if both_trusted {
-                requester.record_pull_answer_trusted(target, &s.reply);
-            } else {
-                requester.record_pull_answer(target, &s.reply);
-            }
-            note_discovered(&mut self.discovery, byz, total, requester_ci, target);
-            for idx in 0..s.reply.len() {
-                note_discovered(&mut self.discovery, byz, total, requester_ci, s.reply[idx]);
-            }
+            node.record_pull_answer(from, ids);
+        }
+        note_discovered(&mut self.discovery, byz, total, ci, from);
+        for &id in ids {
+            note_discovered(&mut self.discovery, byz, total, ci, id);
         }
     }
 
@@ -2655,18 +2572,11 @@ impl Simulation {
     /// channel, in which each side's distinct view ranks into the other,
     /// bypassing both waiting lists.
     fn ranked_trusted_swap(&mut self, ci: usize, pc: usize, s: &mut Scratch) {
-        let (byz, total) = (self.byz_count, self.total_actors());
-        let (segs, seg_of) = (&self.segs, &self.seg_of);
-        let halves = [(ci, pc, &mut s.reply), (pc, ci, &mut s.observed)];
-        for (to, from, buf) in halves {
-            let from_id = NodeId((byz + from) as u64);
-            ranked_at(&mut self.seg_nodes, segs, seg_of, from).pull_answer_into(buf);
-            ranked_at(&mut self.seg_nodes, segs, seg_of, to)
-                .record_pull_answer_trusted(from_id, buf);
-            note_discovered(&mut self.discovery, byz, total, to, from_id);
-            for &id in buf.iter() {
-                note_discovered(&mut self.discovery, byz, total, to, id);
-            }
+        let byz = self.byz_count;
+        for (to, from) in [(ci, pc), (pc, ci)] {
+            ranked_at(&mut self.seg_nodes, &self.segs, &self.seg_of, from)
+                .pull_answer_into(&mut s.reply);
+            self.rank_answer(to, NodeId((byz + from) as u64), true, &s.reply);
         }
     }
 

@@ -40,7 +40,7 @@ use crate::scenario::{
 };
 use raptee::wire::Message;
 use raptee_net::{NodeId, NodeIdx};
-use raptee_util::rng::mix64;
+use raptee_util::rng::{hash_unit, mix64};
 use std::cmp::{Ordering, Reverse};
 use std::collections::{BinaryHeap, HashMap, HashSet};
 
@@ -588,7 +588,7 @@ impl EventNet {
         let mut copies: Vec<(u64, bool)> = vec![(primary, held)];
         copies.append(&mut self.dup_pending);
         if self.cfg.duplicate_rate > 0.0
-            && unit(self.fault_draw(ci as usize, from.0 as usize)) < self.cfg.duplicate_rate
+            && hash_unit(self.fault_draw(ci as usize, from.0 as usize)) < self.cfg.duplicate_rate
         {
             // Injected duplicate, optionally reordered by extra
             // hash-derived delay.
@@ -749,8 +749,8 @@ impl EventNet {
             }
             LatencyModel::LogNormal { mu, sigma, cap } => {
                 // Box–Muller from two hash-derived uniforms in (0, 1).
-                let u1 = unit(self.draw(src, dst));
-                let u2 = unit(self.draw(src, dst));
+                let u1 = hash_unit(self.draw(src, dst));
+                let u2 = hash_unit(self.draw(src, dst));
                 let z = (-2.0 * u1.ln()).sqrt() * (std::f64::consts::TAU * u2).cos();
                 let lat = (mu + sigma * z).exp();
                 // `as` saturates, so an extreme tail draw caps cleanly.
@@ -781,11 +781,6 @@ impl EventNet {
     pub fn rounds(&self) -> usize {
         self.rounds
     }
-}
-
-/// Maps a hash draw to a uniform in the open interval `(0, 1)`.
-fn unit(x: u64) -> f64 {
-    ((x >> 11) as f64 + 0.5) / (1u64 << 53) as f64
 }
 
 /// The event-driven engine: a thin, explicitly-named driver over

@@ -67,6 +67,22 @@ pub fn mix64(mut z: u64) -> u64 {
     z ^ (z >> 31)
 }
 
+/// Maps a hash draw (typically a [`mix64`] output) to a uniform in
+/// `(0, 1]`: the top 53 bits, centred in their bucket, so `0` is never
+/// produced. The centre of the topmost bucket is not representable and
+/// rounds to exactly `1.0`, so compare draws with a strict `<`.
+///
+/// ```
+/// use raptee_util::rng::hash_unit;
+/// assert_eq!(hash_unit(0), 0.5 / (1u64 << 53) as f64);
+/// assert!(hash_unit(u64::MAX - (1 << 11)) < 1.0);
+/// assert_eq!(hash_unit(u64::MAX), 1.0);
+/// ```
+#[inline]
+pub fn hash_unit(x: u64) -> f64 {
+    ((x >> 11) as f64 + 0.5) / (1u64 << 53) as f64
+}
+
 /// xoshiro256** 1.0 (Blackman & Vigna, 2018).
 ///
 /// The workhorse generator of the simulation: every node owns one, seeded

@@ -31,6 +31,47 @@ pub struct Args {
     pub options: BTreeMap<String, String>,
 }
 
+/// Every option name the parser reads — each one documented in
+/// [`USAGE`]. Any other `--key` is rejected rather than silently
+/// ignored.
+const OPTIONS: [&str; 35] = [
+    "adversary",
+    "attack",
+    "attest-ttl",
+    "audit",
+    "catastrophe",
+    "churn",
+    "discovery",
+    "duplicate",
+    "eviction",
+    "f",
+    "fade",
+    "injected",
+    "jitter",
+    "latency",
+    "n",
+    "nat",
+    "network",
+    "partition",
+    "population",
+    "protocol",
+    "rejoin",
+    "reorder",
+    "reps",
+    "retry",
+    "rotation",
+    "round-ticks",
+    "rounds",
+    "scale",
+    "seed",
+    "series",
+    "t",
+    "trusted-refresh",
+    "view",
+    "walk-length",
+    "wlist-ttl",
+];
+
 /// Parsing errors.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum CliError {
@@ -49,6 +90,9 @@ pub enum CliError {
     },
     /// Unknown subcommand.
     UnknownCommand(String),
+    /// A `--key` that no command reads (every option is listed in
+    /// [`USAGE`]).
+    UnknownOption(String),
 }
 
 impl std::fmt::Display for CliError {
@@ -61,6 +105,7 @@ impl std::fmt::Display for CliError {
                 write!(f, "invalid value {value:?} for --{key}")
             }
             CliError::UnknownCommand(c) => write!(f, "unknown subcommand {c:?}"),
+            CliError::UnknownOption(k) => write!(f, "unknown option --{k}"),
         }
     }
 }
@@ -85,6 +130,9 @@ impl Args {
                 .strip_prefix("--")
                 .ok_or_else(|| CliError::UnexpectedArgument(arg.clone()))?
                 .to_string();
+            if !OPTIONS.contains(&key.as_str()) {
+                return Err(CliError::UnknownOption(key));
+            }
             let value = iter
                 .next()
                 .ok_or_else(|| CliError::MissingValue(key.clone()))?;
@@ -1016,6 +1064,44 @@ mod tests {
             args(&["run", "stray"]).unwrap_err(),
             CliError::UnexpectedArgument("stray".into())
         );
+    }
+
+    #[test]
+    fn rejects_unknown_options() {
+        // A misspelt option must not silently run at the default.
+        assert_eq!(
+            args(&["run", "--byzantine", "0.3"]).unwrap_err(),
+            CliError::UnknownOption("byzantine".into())
+        );
+        assert_eq!(
+            args(&["run", "--n", "80", "--bogus", "3"]).unwrap_err(),
+            CliError::UnknownOption("bogus".into())
+        );
+        let msg = CliError::UnknownOption("byzantine".into()).to_string();
+        assert!(msg.contains("--byzantine"), "{msg}");
+    }
+
+    #[test]
+    fn usage_lists_exactly_the_parsed_options() {
+        // Every `--key` the help text mentions parses, and every option
+        // the parser reads is documented: the two cannot drift apart.
+        let mut documented: Vec<&str> = USAGE
+            .split(|c: char| !(c.is_ascii_alphanumeric() || c == '-'))
+            .filter_map(|w| w.strip_prefix("--"))
+            .filter(|&k| k != "key") // the `[--key value]...` grammar line
+            .collect();
+        documented.sort_unstable();
+        documented.dedup();
+        for key in &documented {
+            let flag = format!("--{key}");
+            assert!(
+                args(&["run", &flag, "1"]).is_ok(),
+                "{flag} is in USAGE but rejected by the parser"
+            );
+        }
+        let mut parsed = OPTIONS.to_vec();
+        parsed.sort_unstable();
+        assert_eq!(documented, parsed, "USAGE and OPTIONS disagree");
     }
 
     #[test]

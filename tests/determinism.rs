@@ -266,6 +266,87 @@ fn audit_eclipse_scenario() -> Scenario {
     s
 }
 
+/// Five equal segments (Brahms, RAPTEE, BASALT+TEE, LIFT, Honeybee) on
+/// the log-normal event net with retries, duplicates, reordering and a
+/// partition window, under 5 % loss, warm churn, the audit layer and the
+/// BASALT-family trusted directory: deferred answers to ranked
+/// requesters and cross-family trusted answers, which no uniform golden
+/// reaches.
+fn event_five_family_scenario() -> Scenario {
+    let mut s = Scenario {
+        n: 200,
+        ..base(Protocol::Raptee)
+    };
+    let per = (s.n - s.byzantine_count()) / 5;
+    let protocols = [
+        Protocol::Brahms,
+        Protocol::Raptee,
+        Protocol::BasaltTee {
+            view_size: 12,
+            rotation_interval: 15,
+            wlist_ttl: 8,
+        },
+        Protocol::Lift {
+            view_size: 12,
+            fade_interval: 15,
+        },
+        Protocol::Honeybee {
+            view_size: 12,
+            walk_length: 4,
+        },
+    ];
+    s = s.with_population(
+        protocols
+            .into_iter()
+            .map(|protocol| SegmentSpec {
+                protocol,
+                count: per,
+            })
+            .collect(),
+    );
+    s = s.with_network(EventNetConfig {
+        latency: LatencyModel::LogNormal {
+            mu: 6.2,
+            sigma: 0.8,
+            cap: 5_000,
+        },
+        round_ticks: 1_000,
+        jitter: 200,
+        partitions: vec![PartitionWindow {
+            start: 20,
+            end: 30,
+            boundary: 110,
+        }],
+        retry: RetryConfig {
+            max_retries: 2,
+            base_backoff: 250,
+        },
+        duplicate_rate: 0.1,
+        reorder_jitter: 50,
+        ..EventNetConfig::default()
+    });
+    s.message_loss = 0.05;
+    s.churn = ChurnSchedule::steady(0.02, 0.4);
+    s.churn.rejoin = RejoinPolicy::Warm;
+    s.audit = Some(AuditConfig {
+        budget: 4,
+        grace: 8,
+    });
+    s.trusted_directory_refresh = 5;
+    s
+}
+
+/// The swap-disabled ablation with real handshakes under loss: trusted
+/// pairs still recognise each other, so their answers bypass eviction
+/// without a half-view exchange (the `record_trusted_pull` path).
+fn swap_off_handshake_scenario() -> Scenario {
+    let mut s = base(Protocol::Raptee);
+    s.trusted_swap = false;
+    s.real_crypto_handshakes = true;
+    s.message_loss = 0.05;
+    s
+}
+
 /// Asserts `scenario` still produces the exact metric bits the
 /// pre-optimization engine produced, and that a second run agrees.
 fn assert_golden(name: &str, scenario: Scenario, golden: Fingerprint) {
@@ -689,7 +770,7 @@ fn single_run_identical_across_intra_run_thread_counts() {
     // override) must produce bit-identical RunResults for all three
     // protocols and each attack type, including churn/loss/validation
     // and the deferred Byzantine pull-answer replay.
-    let scenarios: [(&str, Scenario); 18] = [
+    let scenarios: [(&str, Scenario); 20] = [
         ("brahms", base(Protocol::Brahms).brahms_baseline()),
         ("raptee", base(Protocol::Raptee)),
         ("basalt", base(Protocol::Brahms).basalt_variant(15)),
@@ -711,6 +792,8 @@ fn single_run_identical_across_intra_run_thread_counts() {
         ("event-churn-recovery", event_churn_recovery_scenario()),
         ("trusted-expiry", trusted_expiry_scenario()),
         ("audit-eclipse", audit_eclipse_scenario()),
+        ("event-five-family", event_five_family_scenario()),
+        ("swap-off-handshake", swap_off_handshake_scenario()),
     ];
     for (name, scenario) in scenarios {
         let serial = rayon::with_num_threads(1, || Simulation::new(scenario.clone()).run());
@@ -1041,5 +1124,74 @@ fn golden_audit_eclipse() {
             0xd162244893257efb,
         ),
         "audit-eclipse: AuditStats diverged from the introduction commit"
+    );
+}
+
+// Golden constants for the two pull branches no other golden reaches,
+// captured before the per-family pull functions were folded into one
+// exchange path.
+
+#[test]
+fn golden_event_five_family() {
+    assert_golden(
+        "event-five-family",
+        event_five_family_scenario(),
+        Fingerprint {
+            resilience_bits: 4589461288191609574,
+            series_hash: 8985830551202075922,
+            discovery: None,
+            mean_discovery_bits: Some(4626590064817854140),
+            stability: Some(54),
+            spread_stability: None,
+            floods: 55,
+            evicted: 12840,
+            rotations: 115,
+        },
+    );
+    let r = Simulation::new(event_five_family_scenario()).run();
+    assert_eq!(
+        r.net,
+        Some(raptee_sim::NetRunStats {
+            late_deliveries: 78156,
+            partition_held: 4528,
+            partition_released: 4049,
+            nat_blocked: 0,
+            refused_pulls: 14877,
+            in_flight_at_end: 1446,
+            retries_issued: 50632,
+            duplicates_suppressed: 37108,
+            nonce_evictions: 24484,
+        }),
+        "event-five-family: substrate counters diverged from the pinned engine"
+    );
+    let seg_bits: Vec<u64> = r.segments.iter().map(|s| s.resilience.to_bits()).collect();
+    assert_eq!(
+        seg_bits,
+        vec![
+            0x3fba4db933d57ec0,
+            0x3fb4653aec79c910,
+            0x3faecbe328fa6eca,
+            0x3f947ac1182a4693,
+            0x3fb19ad96d569528,
+        ]
+    );
+}
+
+#[test]
+fn golden_swap_off_handshake() {
+    assert_golden(
+        "swap-off-handshake",
+        swap_off_handshake_scenario(),
+        Fingerprint {
+            resilience_bits: 4601310001201054934,
+            series_hash: 220202764193225088,
+            discovery: None,
+            mean_discovery_bits: None,
+            stability: Some(12),
+            spread_stability: None,
+            floods: 2,
+            evicted: 32844,
+            rotations: 0,
+        },
     );
 }
